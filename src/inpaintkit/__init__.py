@@ -6,14 +6,7 @@ per-patch orientation angle and re-diffuses each patch with a kernel
 rotated to match. Masks mark known pixels with 1 and missing ones with 0.
 """
 
-from .core import (
-    PatchCoords,
-    composite,
-    frobenius_distance,
-    mse,
-    replicate_pad,
-    split_into_patches,
-)
+from .core import PatchCoords, mse, split_into_patches
 from .diffusion import DiffusionConfig, DiffusionResult, convolve, diffuse
 from .directional import (
     DirectionalResult,
@@ -32,10 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PatchCoords",
-    "composite",
-    "frobenius_distance",
     "mse",
-    "replicate_pad",
     "split_into_patches",
     "DiffusionConfig",
     "DiffusionResult",

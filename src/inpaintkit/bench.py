@@ -18,7 +18,14 @@ from .directional import inpaint_directional
 from .kernels import diamond_kernel
 from .masks import apply_damage
 
-ALGORITHMS = ("diffusion-diamond", "directional-16", "directional-32")
+# id -> (damaged, mask, config) -> result with .image and .iterations. The
+# entries look diffuse and inpaint_directional up at call time, so a wrapper
+# set on this module's attributes sees every run.
+ALGORITHMS = {
+    "diffusion-diamond": lambda damaged, mask, config: diffuse(damaged, mask, diamond_kernel(), config),
+    "directional-16": lambda damaged, mask, config: inpaint_directional(damaged, mask, 16, config),
+    "directional-32": lambda damaged, mask, config: inpaint_directional(damaged, mask, 32, config),
+}
 
 CSV_HEADER = "image_id,mask_id,algorithm,mse,iterations,wall_seconds"
 AGGREGATE_HEADER = "mask_id,algorithm,n_images,mse_mean,mse_std,wall_mean,wall_std"
@@ -34,21 +41,19 @@ class BenchRecord:
     wall_seconds: float
 
 
+def _algorithm(name: str):
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}; expected one of {tuple(ALGORITHMS)}")
+    return ALGORITHMS[name]
+
+
 def run_algorithm(name: str, damaged, mask, config: DiffusionConfig | None = None):
-    """Dispatch one algorithm by its benchmark id.
+    """Run one algorithm by its benchmark id.
 
     Returns (reconstruction, iterations).
     """
-    if name == "diffusion-diamond":
-        res = diffuse(damaged, mask, diamond_kernel(), config)
-        return res.image, res.iterations
-    if name == "directional-16":
-        res = inpaint_directional(damaged, mask, patch_size=16, config=config)
-        return res.image, res.iterations
-    if name == "directional-32":
-        res = inpaint_directional(damaged, mask, patch_size=32, config=config)
-        return res.image, res.iterations
-    raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    res = _algorithm(name)(damaged, mask, config)
+    return res.image, res.iterations
 
 
 def run_bench(images, specs, algorithms=ALGORITHMS, config: DiffusionConfig | None = None, progress=None) -> list[BenchRecord]:
@@ -67,8 +72,7 @@ def run_bench(images, specs, algorithms=ALGORITHMS, config: DiffusionConfig | No
     if not images:
         raise ValueError("empty image set")
     for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+        _algorithm(name)
     records = []
     for image_id in sorted(images):
         original = as_image(images[image_id])

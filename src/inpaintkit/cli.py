@@ -12,8 +12,8 @@ from pathlib import Path
 
 from .bench import ALGORITHMS, aggregate_records, run_bench, write_aggregate_csv, write_records_csv
 from .diffusion import DiffusionConfig, diffuse
-from .directional import build_patch_grid, diffuse_patches, render_directionality_overlay
-from .image_io import ImageFormatError, read_image, write_image
+from .directional import inpaint_directional, render_directionality_overlay
+from .image_io import CODECS, ImageFormatError, read_image, write_image
 from .kernels import diag_kernel, diamond_kernel
 from .masks import MaskSpec, apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
@@ -21,6 +21,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+# --kernel choices for --algo diffusion (default diamond)
+KERNELS = {"diamond": diamond_kernel, "diag": diag_kernel}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +55,7 @@ def build_parser() -> _Parser:
 
     p_in = sub.add_parser("inpaint", parents=[], help="reconstruct the missing pixels of one image")
     p_in.add_argument("--algo", choices=("diffusion", "directional"), required=True)
-    p_in.add_argument("--kernel", choices=("diamond", "diag"), default=None, help="diffusion only (default diamond)")
+    p_in.add_argument("--kernel", choices=tuple(KERNELS), default=None, help="diffusion only (default diamond)")
     p_in.add_argument("--patch", type=int, default=None, help="directional only: patch side length (default 16)")
     p_in.add_argument("--in", dest="input", required=True, metavar="PATH")
     p_in.add_argument("--mask", required=True, metavar="PATH", help="image file; 0 = missing, nonzero = known")
@@ -129,23 +132,22 @@ def cmd_inpaint(parser, args) -> int:
 
     start = time.perf_counter()
     if args.algo == "diffusion":
-        kernel = diag_kernel() if args.kernel == "diag" else diamond_kernel()
-        res = diffuse(damaged, mask, kernel, config, callback=callback)
-        out_image, iterations, converged = res.image, res.iterations, res.converged
+        res = diffuse(damaged, mask, KERNELS[args.kernel or "diamond"](), config, callback=callback)
     else:
         patch = 16 if args.patch is None else args.patch
         # snapshots track the estimate pass of the directional pipeline
-        est = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
-        grid = build_patch_grid(est.image, patch)
-        patched = diffuse_patches(est.image, mask, grid, config)
-        out_image, iterations = patched.image, est.iterations + patched.iterations
-        converged = est.converged and patched.converged
+        res = inpaint_directional(damaged, mask, patch, config, callback=callback)
         if args.overlay is not None:
-            write_image(render_directionality_overlay(out_image, grid), args.overlay)
+            write_image(render_directionality_overlay(res.image, res.grid), args.overlay)
     wall = time.perf_counter() - start
 
-    write_image(out_image, args.out)
-    print(f"wrote {args.out}: iterations={iterations} converged={converged} wall_seconds={wall:.6g}")
+    write_image(res.image, args.out)
+    print(f"wrote {args.out}: iterations={res.iterations} converged={res.converged} wall_seconds={wall:.6g}")
+    if not res.converged:
+        print(
+            f"inpaintkit: warning: stopped at max-iters {args.max_iters} without converging (delta={res.final_delta:.6g})",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -202,7 +204,7 @@ def cmd_bench(parser, args) -> int:
     image_dir = Path(args.images)
     if not image_dir.is_dir():
         raise ImageFormatError(f"{image_dir} is not a directory")
-    paths = sorted(p for p in image_dir.iterdir() if p.suffix.lower() in (".pgm", ".pnm", ".png"))
+    paths = sorted(p for p in image_dir.iterdir() if p.suffix.lower() in CODECS)
     if not paths:
         raise ImageFormatError(f"no .pgm/.png images in {image_dir}")
     images = {p.stem: read_image(p) for p in paths}

@@ -36,38 +36,12 @@ def require_same_shape(a: np.ndarray, b: np.ndarray, what: str = "arrays") -> No
         raise ValueError(f"{what} differ in shape: {a.shape} vs {b.shape}")
 
 
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of the elementwise difference, sqrt(sum((a - b)**2))."""
-    a = as_image(a)
-    b = as_image(b)
-    require_same_shape(a, b)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 def mse(original, reconstructed) -> float:
     """Mean squared error between two images of identical shape."""
     a = as_image(original)
     b = as_image(reconstructed)
     require_same_shape(a, b)
     return float(np.mean((a - b) ** 2))
-
-
-def replicate_pad(img, width: int) -> np.ndarray:
-    """Pad by repeating the nearest edge pixel on every side."""
-    img = as_image(img)
-    if width < 1:
-        raise ValueError(f"pad width must be >= 1, got {width}")
-    return np.pad(img, width, mode="edge")
-
-
-def composite(diffused, original, mask) -> np.ndarray:
-    """Take known pixels from original and missing ones from diffused."""
-    diffused = as_image(diffused)
-    original = as_image(original)
-    mask = as_mask(mask)
-    require_same_shape(diffused, original, "images")
-    require_same_shape(diffused, mask, "image and mask")
-    return np.where(mask == 1, original, diffused)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,18 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
     Returns:
         DiffusionResult with the reconstruction, the number of iterations
         run, the last Frobenius delta, and whether the threshold was met.
+
+    Raises:
+        ValueError: on a shape mismatch, a non-binary mask, or any NaN or
+            infinite pixel, known or missing.
     """
     damaged = as_image(damaged)
     mask = as_mask(mask)
     require_same_shape(damaged, mask, "image and mask")
+    # checked once here, not in as_image, which convolve calls every iteration
+    bad = damaged.size - int(np.count_nonzero(np.isfinite(damaged)))
+    if bad:
+        raise ValueError(f"image has {bad} non-finite pixel(s); NaN and inf are not valid intensities")
     cfg = config if config is not None else DiffusionConfig()
     k = normalize(kernel)
 

@@ -48,7 +48,7 @@ class DirectionalResult:
     grid: PatchGrid
     estimate: DiffusionResult
     iterations: int  # estimate iterations plus all per-patch iterations
-    final_delta: float  # largest final delta among the patch runs
+    final_delta: float  # largest final delta among the estimate and the patch runs
     converged: bool  # estimate and every patch met the threshold
 
 
@@ -105,44 +105,46 @@ def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None 
     return DiffusionResult(out, total_iters, worst_delta, converged)
 
 
-def inpaint_directional(damaged, mask, patch_size: int = 16, config: DiffusionConfig | None = None) -> DirectionalResult:
+def inpaint_directional(
+    damaged, mask, patch_size: int = 16, config: DiffusionConfig | None = None, callback=None
+) -> DirectionalResult:
     """Two-pass directional inpainting.
 
     Runs regular diamond diffusion for an estimate, infers per-patch
     orientations from that estimate, then re-diffuses each patch with a
     kernel rotated to its angle. Known pixels pass through untouched.
+
+    callback, if given, is passed to the estimate pass only and is called
+    as callback(iteration, image) after each of its iterations; the
+    per-patch runs do not report progress.
     """
-    damaged = as_image(damaged)
-    mask = as_mask(mask)
-    require_same_shape(damaged, mask, "image and mask")
-    cfg = config if config is not None else DiffusionConfig()
-    estimate = diffuse(damaged, mask, diamond_kernel(), cfg)
+    estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
     grid = build_patch_grid(estimate.image, patch_size)
-    patched = diffuse_patches(estimate.image, mask, grid, cfg)
+    patched = diffuse_patches(estimate.image, mask, grid, config)
     return DirectionalResult(
         image=patched.image,
         grid=grid,
         estimate=estimate,
         iterations=estimate.iterations + patched.iterations,
-        final_delta=patched.final_delta,
+        final_delta=max(estimate.final_delta, patched.final_delta),
         converged=estimate.converged and patched.converged,
     )
 
 
-def render_directionality_overlay(img, grid: PatchGrid, length_scale: float = 0.8, intensity: float = 1.0) -> np.ndarray:
-    """Draw one orientation segment per patch onto a copy of the image.
+def render_directionality_overlay(img, grid: PatchGrid) -> np.ndarray:
+    """Draw one white orientation segment per patch onto a copy of the image.
 
     Each segment passes through the patch centre at the patch's angle,
-    with length length_scale times the patch side. theta = 90 draws a
-    horizontal segment and theta = 0 a vertical one, matching the
-    direction the rotated kernel diffuses along.
+    with length 0.8 times the patch side. theta = 90 draws a horizontal
+    segment and theta = 0 a vertical one, matching the direction the
+    rotated kernel diffuses along.
     """
     out = as_image(img).copy()
     rows, cols = out.shape
     for pc, theta in zip(grid.coords, grid.angles):
         cy = pc.top + (pc.height - 1) / 2.0
         cx = pc.left + (pc.width - 1) / 2.0
-        half = 0.5 * length_scale * min(pc.height, pc.width)
+        half = 0.4 * min(pc.height, pc.width)
         t = np.radians(theta)
         dx, dy = -np.sin(t), np.cos(t)
         steps = max(int(np.ceil(4.0 * half)), 1)
@@ -150,5 +152,5 @@ def render_directionality_overlay(img, grid: PatchGrid, length_scale: float = 0.
             r = int(round(cy + s * dy))
             c = int(round(cx + s * dx))
             if 0 <= r < rows and 0 <= c < cols:
-                out[r, c] = intensity
+                out[r, c] = 1.0
     return out

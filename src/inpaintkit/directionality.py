@@ -37,7 +37,7 @@ def shift_diff(patch, dx: int, dy: int) -> float:
     return float(np.sum(np.abs(p - shifted)))
 
 
-def patch_metrics(patch, d_threshold: float = D_THRESHOLD) -> PatchMetrics:
+def patch_metrics(patch) -> PatchMetrics:
     """Estimate the dominant orientation angle of a patch, in degrees.
 
     theta lands in (-90, 90]. A constant patch has v = h = 0 and comes out
@@ -58,7 +58,7 @@ def patch_metrics(patch, d_threshold: float = D_THRESHOLD) -> PatchMetrics:
     diag = shift_diff(p, 1, 1)
     theta1 = 90.0 * (h + 1.0) / (h + v + 1.0)
     d = (1.0 + diag) / (1.0 + v + h)
-    if d > d_threshold:
+    if d > D_THRESHOLD:
         theta = -90.0 + (90.0 * d + theta1)
     else:
         theta = -90.0 + (90.0 - theta1)

@@ -128,22 +128,26 @@ def write_png(img, path) -> None:
     pil.fromarray(quantize(img), mode="L").save(Path(path), format="PNG")
 
 
+# suffix -> (reader, writer); .pnm is read and written as PGM
+CODECS = {
+    ".pgm": (read_pgm, write_pgm),
+    ".pnm": (read_pgm, write_pgm),
+    ".png": (read_png, write_png),
+}
+
+
+def _codec(path):
+    suffix = Path(path).suffix.lower()
+    if suffix not in CODECS:
+        raise ImageFormatError(f"unsupported image extension {suffix!r} (use .pgm or .png)")
+    return CODECS[suffix]
+
+
 def read_image(path) -> np.ndarray:
     """Read a grayscale image by file extension (.pgm/.pnm or .png)."""
-    suffix = Path(path).suffix.lower()
-    if suffix in (".pgm", ".pnm"):
-        return read_pgm(path)
-    if suffix == ".png":
-        return read_png(path)
-    raise ImageFormatError(f"unsupported image extension {suffix!r} (use .pgm or .png)")
+    return _codec(path)[0](path)
 
 
 def write_image(img, path) -> None:
     """Write a grayscale image by file extension (.pgm/.pnm or .png)."""
-    suffix = Path(path).suffix.lower()
-    if suffix in (".pgm", ".pnm"):
-        write_pgm(img, path)
-    elif suffix == ".png":
-        write_png(img, path)
-    else:
-        raise ImageFormatError(f"unsupported image extension {suffix!r} (use .pgm or .png)")
+    _codec(path)[1](img, path)

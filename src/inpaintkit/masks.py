@@ -91,9 +91,8 @@ def mask_to_image(mask) -> np.ndarray:
 class MaskSpec:
     """Recipe for building a mask at a given image size.
 
-    kind is one of "random", "text" or "file". Random masks use
-    missing_fraction and seed; text masks use text and scale; file masks
-    load an image whose zero pixels mark the missing set.
+    kind is "random" or "text". Random masks use missing_fraction and
+    seed; text masks use text and scale.
     """
 
     kind: str
@@ -101,13 +100,10 @@ class MaskSpec:
     seed: int = 0
     text: str = ""
     scale: int = 1
-    path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("random", "text", "file"):
+        if self.kind not in ("random", "text"):
             raise ValueError(f"unknown mask kind {self.kind!r}")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file mask needs a path")
         if self.kind == "text" and not self.text:
             raise ValueError("text mask needs text")
 
@@ -115,20 +111,9 @@ class MaskSpec:
     def mask_id(self) -> str:
         if self.kind == "random":
             return f"random-{self.missing_fraction:g}-seed{self.seed}"
-        if self.kind == "text":
-            return f"text-scale{self.scale}"
-        from pathlib import Path
-
-        return f"file-{Path(self.path).stem}"
+        return f"text-scale{self.scale}"
 
     def build(self, rows: int, cols: int) -> np.ndarray:
         if self.kind == "random":
             return random_mask(rows, cols, self.missing_fraction, self.seed)
-        if self.kind == "text":
-            return text_mask(rows, cols, self.text, self.scale)
-        from .image_io import read_image  # deferred so masks does not hard-depend on io
-
-        mask = mask_from_image(read_image(self.path))
-        if mask.shape != (rows, cols):
-            raise ValueError(f"mask file is {mask.shape[0]}x{mask.shape[1]}, need {rows}x{cols}")
-        return mask
+        return text_mask(rows, cols, self.text, self.scale)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from inpaintkit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from inpaintkit.diffusion import DiffusionConfig
+from inpaintkit.directional import inpaint_directional
 from inpaintkit.image_io import quantize, read_image, write_image
-from inpaintkit.masks import mask_to_image, random_mask, text_mask
+from inpaintkit.masks import apply_damage, mask_to_image, random_mask, text_mask
 from inpaintkit.synth import stripes
 
 
@@ -75,15 +79,18 @@ def test_inpaint_directional_with_overlay(workspace):
     assert read_image(overlay_path).shape == (32, 32)
 
 
-def test_inpaint_snapshots_every_k_iterations(workspace):
-    tmp_path, image_path, mask_path, _ = workspace
+@pytest.mark.parametrize("algo", ["diffusion", "directional"])
+def test_inpaint_snapshots_every_k_iterations(workspace, algo):
+    tmp_path, image_path, mask_path, mask = workspace
     out_path = tmp_path / "restored.pgm"
     snap_dir = tmp_path / "snaps"
+    patch_args = ["--patch", "8"] if algo == "directional" else []
     code = main(
         [
             "inpaint",
             "--algo",
-            "diffusion",
+            algo,
+            *patch_args,
             "--in",
             str(image_path),
             "--mask",
@@ -105,6 +112,32 @@ def test_inpaint_snapshots_every_k_iterations(workspace):
     # names advance in steps of five
     numbers = [int(p.stem[4:]) for p in snaps]
     assert numbers == list(range(5, 5 * len(numbers) + 1, 5))
+    if algo == "directional":
+        # the CLI runs the library pipeline itself; snapshots track its estimate pass
+        damaged = apply_damage(read_image(image_path), mask)
+        res = inpaint_directional(damaged, mask, 8, DiffusionConfig(epsilon=1e-5))
+        expected_path = tmp_path / "expected.pgm"
+        write_image(res.image, expected_path)
+        assert out_path.read_bytes() == expected_path.read_bytes()
+        assert len(snaps) == res.estimate.iterations // 5
+
+
+@pytest.mark.parametrize("algo", ["diffusion", "directional"])
+def test_inpaint_warns_when_max_iters_stops_it(workspace, capsys, algo):
+    tmp_path, image_path, mask_path, _ = workspace
+    out_path = tmp_path / "restored.pgm"
+    argv = ["inpaint", "--algo", algo, "--in", str(image_path), "--mask", str(mask_path), "--out", str(out_path)]
+    code = main(argv + ["--max-iters", "1"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"wrote {re.escape(str(out_path))}: iterations=\d+ converged=False wall_seconds=\S+\n", captured.out)
+    assert re.fullmatch(
+        r"inpaintkit: warning: stopped at max-iters 1 without converging \(delta=\S+\)\n", captured.err
+    )
+    # a converged run stays silent on stderr
+    assert main(argv) == EXIT_OK
+    assert "converged=True" in capsys.readouterr().out
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_errors_exit_1(workspace):

@@ -9,10 +9,7 @@ from inpaintkit.core import (
     PatchCoords,
     as_image,
     as_mask,
-    composite,
-    frobenius_distance,
     mse,
-    replicate_pad,
     require_same_shape,
     split_into_patches,
 )
@@ -48,16 +45,6 @@ def test_require_same_shape():
         require_same_shape(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
-def test_frobenius_distance_worked_values():
-    z = np.zeros((3, 3))
-    assert frobenius_distance(z, z) == 0.0
-    assert frobenius_distance(np.ones((2, 2)), np.zeros((2, 2))) == 2.0
-    a = np.zeros((4, 4))
-    b = a.copy()
-    b[1, 2] = 0.5
-    assert frobenius_distance(a, b) == 0.5
-
-
 def test_mse_single_pixel_on_512_square():
     # one pixel off by 0.5 in a 512x512 pair: 0.25 / 262144, exact in floats
     a = np.zeros((512, 512))
@@ -70,43 +57,6 @@ def test_mse_single_pixel_on_512_square():
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
         mse(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-def test_replicate_pad_hand_enumerated():
-    img = np.array([[1.0, 2.0], [3.0, 4.0]])
-    padded = replicate_pad(img, 1)
-    expected = np.array(
-        [
-            [1.0, 1.0, 2.0, 2.0],
-            [1.0, 1.0, 2.0, 2.0],
-            [3.0, 3.0, 4.0, 4.0],
-            [3.0, 3.0, 4.0, 4.0],
-        ]
-    )
-    assert np.array_equal(padded, expected)
-
-
-def test_replicate_pad_width_validation():
-    with pytest.raises(ValueError):
-        replicate_pad(np.ones((2, 2)), 0)
-
-
-def test_composite_takes_known_from_original():
-    original = np.array([[0.1, 0.2], [0.3, 0.4]])
-    diffused = np.full((2, 2), 0.9)
-    mask = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    out = composite(diffused, original, mask)
-    assert out[0, 0] == 0.1 and out[1, 1] == 0.4
-    assert out[0, 1] == 0.9 and out[1, 0] == 0.9
-    # inputs untouched
-    assert diffused[0, 0] == 0.9 and original[0, 1] == 0.2
-
-
-def test_composite_validates_shapes_and_mask():
-    with pytest.raises(ValueError):
-        composite(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        composite(np.zeros((2, 2)), np.zeros((2, 2)), np.full((2, 2), 3, dtype=np.uint8))
 
 
 def test_patch_coords_slices():

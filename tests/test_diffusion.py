@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from inpaintkit.core import frobenius_distance
 from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, convolve, diffuse
+from inpaintkit.directional import inpaint_directional
 from inpaintkit.kernels import diag_kernel, diamond_kernel
 from inpaintkit.masks import apply_damage, random_mask
 
@@ -132,7 +132,7 @@ def test_one_extra_step_moves_at_most_epsilon():
     res = diffuse(damaged, mask, diamond_kernel(), cfg)
     assert res.converged
     extra = np.where(mask == 1, damaged, convolve(res.image, diamond_kernel()))
-    assert frobenius_distance(extra, res.image) <= cfg.epsilon
+    assert np.linalg.norm(extra - res.image) <= cfg.epsilon
 
 
 def test_iteration_cap_reported_as_not_converged():
@@ -157,6 +157,23 @@ def test_shape_mismatch_and_bad_mask_raise():
         diffuse(np.zeros((4, 4)), np.ones((4, 5), dtype=np.uint8), diamond_kernel())
     with pytest.raises(ValueError):
         diffuse(np.zeros((4, 4)), np.full((4, 4), 2, dtype=np.uint8), diamond_kernel())
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda d, m: diffuse(d, m, diamond_kernel()), lambda d, m: inpaint_directional(d, m, patch_size=8)],
+    ids=["diffuse", "inpaint_directional"],
+)
+@pytest.mark.parametrize("known", [True, False], ids=["known", "missing"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_pixel_raises(value, known, run):
+    rng = np.random.default_rng(9)
+    mask = random_mask(32, 32, 0.3, seed=4)
+    damaged = apply_damage(rng.uniform(size=(32, 32)), mask)
+    r, c = np.argwhere(mask == (1 if known else 0))[0]
+    damaged[r, c] = value
+    with pytest.raises(ValueError, match="1 non-finite pixel"):
+        run(damaged, mask)
 
 
 def test_result_is_a_frozen_record():

@@ -129,6 +129,10 @@ def test_aggregate_diagnostics():
     assert res.converged
     assert res.final_delta <= DiffusionConfig().epsilon
     assert len(res.grid) == 9
+    # capped so only the estimate misses the threshold: final_delta reports it
+    capped = inpaint_directional(damaged, mask, patch_size=8, config=DiffusionConfig(max_iters=12))
+    assert not capped.estimate.converged and not capped.converged
+    assert capped.final_delta == capped.estimate.final_delta > DiffusionConfig().epsilon
 
 
 def test_clipped_patches_are_still_processed():
@@ -151,13 +155,13 @@ def test_overlay_draws_along_the_reported_angle():
     coords = tuple(split_into_patches(15, 15, 15))
 
     horiz = PatchGrid(coords, (90.0,), (diag_kernel(),))
-    out = render_directionality_overlay(img, horiz, intensity=1.0)
+    out = render_directionality_overlay(img, horiz)
     # theta = 90 paints the centre row, not the centre column
     assert out[7, :].sum() > 8
     assert out[:, 7].sum() <= 2
 
     vert = PatchGrid(coords, (0.0,), (diag_kernel(),))
-    out = render_directionality_overlay(img, vert, intensity=1.0)
+    out = render_directionality_overlay(img, vert)
     assert out[:, 7].sum() > 8
     assert out[7, :].sum() <= 2
 

@@ -114,9 +114,3 @@ def test_d_never_exceeds_one_and_theta_stays_in_range():
         assert m.d <= 1.0 + 1e-12
         assert -90.0 < m.theta <= 90.0
 
-
-def test_threshold_parameter_switches_branches():
-    p = _checkerboard(8)
-    low = patch_metrics(p, d_threshold=0.0)  # forces the high-d branch
-    high = patch_metrics(p)
-    assert low.theta != high.theta

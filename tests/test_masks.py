@@ -110,30 +110,18 @@ def test_mask_image_roundtrip():
 def test_mask_spec_ids():
     assert MaskSpec(kind="random", missing_fraction=0.3, seed=42).mask_id == "random-0.3-seed42"
     assert MaskSpec(kind="text", text="hi", scale=2).mask_id == "text-scale2"
-    assert MaskSpec(kind="file", path="/tmp/holes.pgm").mask_id == "file-holes"
 
 
-def test_mask_spec_builds_each_kind(tmp_path):
+def test_mask_spec_builds_each_kind():
     spec = MaskSpec(kind="random", missing_fraction=0.25, seed=1)
     assert np.array_equal(spec.build(16, 16), random_mask(16, 16, 0.25, seed=1))
 
     spec = MaskSpec(kind="text", text="I")
     assert np.array_equal(spec.build(7, 5), text_mask(7, 5, "I"))
 
-    from inpaintkit.image_io import write_image
-
-    path = tmp_path / "m.pgm"
-    write_image(mask_to_image(random_mask(8, 8, 0.5, seed=2)), path)
-    spec = MaskSpec(kind="file", path=str(path))
-    assert np.array_equal(spec.build(8, 8), random_mask(8, 8, 0.5, seed=2))
-    with pytest.raises(ValueError):
-        spec.build(9, 9)
-
 
 def test_mask_spec_validation():
     with pytest.raises(ValueError):
         MaskSpec(kind="blob")
-    with pytest.raises(ValueError):
-        MaskSpec(kind="file")
     with pytest.raises(ValueError):
         MaskSpec(kind="text")
