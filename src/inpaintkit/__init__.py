@@ -7,7 +7,7 @@ rotated to match. Masks mark known pixels with 1 and missing ones with 0.
 """
 
 from .core import PatchCoords, mse, split_into_patches
-from .diffusion import DiffusionConfig, DiffusionResult, convolve, diffuse
+from .diffusion import DiffusionConfig, DiffusionResult, diffuse
 from .directional import (
     DirectionalResult,
     PatchGrid,
@@ -18,7 +18,7 @@ from .directional import (
 )
 from .directionality import PatchMetrics, patch_metrics, shift_diff
 from .image_io import ImageFormatError, read_image, write_image
-from .kernels import bicubic_sample, diag_kernel, diamond_kernel, normalize, rotate_kernel
+from .kernels import diag_kernel, diamond_kernel, normalize, rotate_kernel
 from .masks import MaskSpec, apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "split_into_patches",
     "DiffusionConfig",
     "DiffusionResult",
-    "convolve",
     "diffuse",
     "DirectionalResult",
     "PatchGrid",
@@ -43,7 +42,6 @@ __all__ = [
     "ImageFormatError",
     "read_image",
     "write_image",
-    "bicubic_sample",
     "diag_kernel",
     "diamond_kernel",
     "normalize",

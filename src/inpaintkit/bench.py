@@ -18,16 +18,16 @@ from .directional import inpaint_directional
 from .kernels import diamond_kernel
 from .masks import apply_damage
 
-# id -> (damaged, mask, config) -> result with .image and .iterations. The
-# entries look diffuse and inpaint_directional up at call time, so a wrapper
-# set on this module's attributes sees every run.
+# id -> (damaged, mask, config) -> result with .image, .iterations, .converged.
+# The entries look diffuse and inpaint_directional up at call time, so a
+# wrapper set on this module's attributes sees every run.
 ALGORITHMS = {
     "diffusion-diamond": lambda damaged, mask, config: diffuse(damaged, mask, diamond_kernel(), config),
     "directional-16": lambda damaged, mask, config: inpaint_directional(damaged, mask, 16, config),
     "directional-32": lambda damaged, mask, config: inpaint_directional(damaged, mask, 32, config),
 }
 
-CSV_HEADER = "image_id,mask_id,algorithm,mse,iterations,wall_seconds"
+CSV_HEADER = "image_id,mask_id,algorithm,mse,iterations,wall_seconds,converged"
 AGGREGATE_HEADER = "mask_id,algorithm,n_images,mse_mean,mse_std,wall_mean,wall_std"
 
 
@@ -39,6 +39,7 @@ class BenchRecord:
     mse: float
     iterations: int
     wall_seconds: float
+    converged: bool  # False when the run stopped at max_iters
 
 
 def _algorithm(name: str):
@@ -50,10 +51,10 @@ def _algorithm(name: str):
 def run_algorithm(name: str, damaged, mask, config: DiffusionConfig | None = None):
     """Run one algorithm by its benchmark id.
 
-    Returns (reconstruction, iterations).
+    Returns (reconstruction, iterations, converged).
     """
     res = _algorithm(name)(damaged, mask, config)
-    return res.image, res.iterations
+    return res.image, res.iterations, res.converged
 
 
 def run_bench(images, specs, algorithms=ALGORITHMS, config: DiffusionConfig | None = None, progress=None) -> list[BenchRecord]:
@@ -81,9 +82,9 @@ def run_bench(images, specs, algorithms=ALGORITHMS, config: DiffusionConfig | No
             damaged = apply_damage(original, mask)
             for name in algorithms:
                 start = time.perf_counter()
-                restored, iterations = run_algorithm(name, damaged, mask, config)
+                restored, iterations, converged = run_algorithm(name, damaged, mask, config)
                 wall = time.perf_counter() - start
-                rec = BenchRecord(image_id, spec.mask_id, name, mse(original, restored), iterations, wall)
+                rec = BenchRecord(image_id, spec.mask_id, name, mse(original, restored), iterations, wall, converged)
                 records.append(rec)
                 if progress is not None:
                     progress(rec)
@@ -95,7 +96,7 @@ def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
-            f"{r.image_id},{r.mask_id},{r.algorithm},{r.mse:.6g},{r.iterations},{r.wall_seconds:.6g}"
+            f"{r.image_id},{r.mask_id},{r.algorithm},{r.mse:.6g},{r.iterations},{r.wall_seconds:.6g},{r.converged}"
         )
     return "\n".join(lines) + "\n"
 

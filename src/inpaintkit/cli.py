@@ -49,6 +49,19 @@ def _parse_size(text: str) -> tuple[int, int]:
     return rows, cols
 
 
+def _at_least(low, cast):
+    """argparse type for --epsilon and --max-iters: cast, then reject values below low."""
+
+    def parse(text):
+        value = cast(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # keeps argparse's "invalid float value" wording
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="inpaintkit", description="Grayscale image inpainting by masked kernel diffusion.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,8 +74,8 @@ def build_parser() -> _Parser:
     p_in.add_argument("--mask", required=True, metavar="PATH", help="image file; 0 = missing, nonzero = known")
     p_in.add_argument("--out", required=True, metavar="PATH")
     p_in.add_argument("--overlay", default=None, metavar="PATH", help="directional only: write an orientation overlay image")
-    p_in.add_argument("--epsilon", type=float, default=1e-3)
-    p_in.add_argument("--max-iters", type=int, default=10_000)
+    p_in.add_argument("--epsilon", type=_at_least(0, float), default=1e-3)
+    p_in.add_argument("--max-iters", type=_at_least(1, int), default=10_000)
     p_in.add_argument("--snapshot-every", type=int, default=None, metavar="K", help="write the iterate every K iterations")
     p_in.add_argument("--snapshot-dir", default=None, metavar="DIR")
     p_in.set_defaults(func=cmd_inpaint)
@@ -85,10 +98,14 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--random-fractions", default=None, metavar="F1,F2,...", help="add random masks at these missing fractions")
     p_bench.add_argument("--seed", type=int, default=42)
     p_bench.add_argument("--aggregate-out", default=None, metavar="CSV", help="also write per-mask aggregate stats")
-    p_bench.add_argument("--epsilon", type=float, default=1e-3)
-    p_bench.add_argument("--max-iters", type=int, default=10_000)
+    p_bench.add_argument("--epsilon", type=_at_least(0, float), default=1e-3)
+    p_bench.add_argument("--max-iters", type=_at_least(1, int), default=10_000)
     p_bench.set_defaults(func=cmd_bench)
     return parser
+
+
+def _warn_capped(max_iters: int, detail: str) -> None:
+    print(f"inpaintkit: warning: stopped at max-iters {max_iters} without converging ({detail})", file=sys.stderr)
 
 
 def _load_mask(path):
@@ -110,10 +127,6 @@ def cmd_inpaint(parser, args) -> int:
         return _usage_error(parser, f"--snapshot-every must be >= 1, got {args.snapshot_every}")
     if (args.snapshot_every is None) != (args.snapshot_dir is None):
         return _usage_error(parser, "--snapshot-every and --snapshot-dir go together")
-    if args.epsilon < 0:
-        return _usage_error(parser, f"--epsilon must be >= 0, got {args.epsilon}")
-    if args.max_iters < 1:
-        return _usage_error(parser, f"--max-iters must be >= 1, got {args.max_iters}")
 
     image = read_image(args.input)
     mask = _load_mask(args.mask)
@@ -144,10 +157,7 @@ def cmd_inpaint(parser, args) -> int:
     write_image(res.image, args.out)
     print(f"wrote {args.out}: iterations={res.iterations} converged={res.converged} wall_seconds={wall:.6g}")
     if not res.converged:
-        print(
-            f"inpaintkit: warning: stopped at max-iters {args.max_iters} without converging (delta={res.final_delta:.6g})",
-            file=sys.stderr,
-        )
+        _warn_capped(args.max_iters, f"delta={res.final_delta:.6g}")
     return EXIT_OK
 
 
@@ -198,8 +208,6 @@ def cmd_bench(parser, args) -> int:
             specs.append(MaskSpec(kind="random", missing_fraction=f, seed=args.seed))
     if not specs:
         return _usage_error(parser, "no masks requested; give --text and/or --random-fractions")
-    if args.epsilon < 0 or args.max_iters < 1:
-        return _usage_error(parser, "bad --epsilon/--max-iters")
 
     image_dir = Path(args.images)
     if not image_dir.is_dir():
@@ -216,6 +224,8 @@ def cmd_bench(parser, args) -> int:
             f"{rec.image_id} {rec.mask_id} {rec.algorithm}: "
             f"mse={rec.mse:.6g} iters={rec.iterations} wall={rec.wall_seconds:.3g}s"
         )
+        if not rec.converged:
+            _warn_capped(args.max_iters, f"{rec.image_id} {rec.mask_id} {rec.algorithm}")
 
     records = run_bench(images, specs, algorithms, config, progress=progress)
     write_records_csv(records, args.out)

@@ -2,10 +2,11 @@
 
 Pipeline: run a regular diamond-kernel diffusion pass to get a first
 estimate, estimate an orientation angle for every patch of that estimate,
-rotate the diagonal kernel to each angle, then re-diffuse every patch
-with its own kernel and write the patch interiors back. Patch runs read
-their surroundings from the estimate, never from concurrently updated
-neighbours, so the output does not depend on patch evaluation order.
+rotate the diagonal kernel to all the angles in one call, then re-diffuse
+every patch with its own kernel, one window stack per patch shape, and
+write the patch interiors back. Patch runs read their surroundings from
+the estimate, never from concurrently updated neighbours, so the output
+does not depend on patch evaluation order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_image, as_mask, require_same_shape, split_into_patches
-from .diffusion import DiffusionConfig, DiffusionResult, diffuse
+from .core import as_image, split_into_patches
+from .diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
 from .directionality import patch_metrics
 from .kernels import diamond_kernel, rotate_kernel
 
@@ -56,53 +57,21 @@ def build_patch_grid(image, patch_size: int) -> PatchGrid:
     """Split an image into patches and attach per-patch angles and kernels."""
     img = as_image(image)
     coords = split_into_patches(img.shape[0], img.shape[1], patch_size)
-    angles = []
-    kernels = []
-    for pc in coords:
-        theta = patch_metrics(img[pc.row_slice, pc.col_slice]).theta
-        angles.append(theta)
-        kernels.append(rotate_kernel(theta))
-    return PatchGrid(tuple(coords), tuple(angles), tuple(kernels))
+    angles = [patch_metrics(img[pc.row_slice, pc.col_slice]).theta for pc in coords]
+    return PatchGrid(tuple(coords), tuple(angles), tuple(rotate_kernel(angles)))
 
 
 def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None = None) -> DiffusionResult:
     """Re-diffuse every patch of `base` with its own kernel.
 
-    Each patch is extracted with a 1-pixel halo (clipped at the image
-    border). Halo pixels are treated as known and, like the patch's own
-    known pixels, take their values from `base`; missing interior pixels
-    start from their `base` values and converge to the patch kernel's
-    fill. Only patch interiors are written back.
+    Each patch is a window with a 1-pixel halo, replicate-padded where
+    the image border clips it. Halo pixels and the patch's known pixels
+    hold their `base` values; missing pixels start from theirs and
+    converge to the patch kernel's fill. Only patch interiors are written
+    back. Patches of one shape are solved as one stack.
     """
-    base = as_image(base)
-    mask = as_mask(mask)
-    require_same_shape(base, mask, "image and mask")
-    cfg = config if config is not None else DiffusionConfig()
-    rows, cols = base.shape
-    out = base.copy()
-    total_iters = 0
-    worst_delta = 0.0
-    converged = True
-    for pc, kernel in zip(grid.coords, grid.kernels):
-        top = max(pc.top - 1, 0)
-        left = max(pc.left - 1, 0)
-        bottom = min(pc.top + pc.height + 1, rows)
-        right = min(pc.left + pc.width + 1, cols)
-        sub = base[top:bottom, left:right]
-        sub_mask = mask[top:bottom, left:right].copy()
-        # halo ring counts as known so neighbouring patches stay fixed
-        sub_mask[: pc.top - top, :] = 1
-        sub_mask[pc.top - top + pc.height :, :] = 1
-        sub_mask[:, : pc.left - left] = 1
-        sub_mask[:, pc.left - left + pc.width :] = 1
-        res = diffuse(sub, sub_mask, kernel, cfg)
-        r0 = pc.top - top
-        c0 = pc.left - left
-        out[pc.row_slice, pc.col_slice] = res.image[r0 : r0 + pc.height, c0 : c0 + pc.width]
-        total_iters += res.iterations
-        worst_delta = max(worst_delta, res.final_delta)
-        converged = converged and res.converged
-    return DiffusionResult(out, total_iters, worst_delta, converged)
+    image, iterations, deltas, converged = _solve_windows(base, mask, grid.coords, grid.kernels, config)
+    return DiffusionResult(image, int(iterations.sum()), float(deltas.max(initial=0.0)), bool(converged.all()))
 
 
 def inpaint_directional(
@@ -117,7 +86,10 @@ def inpaint_directional(
     callback, if given, is passed to the estimate pass only and is called
     as callback(iteration, image) after each of its iterations; the
     per-patch runs do not report progress.
+    A patch_size below 2 raises ValueError before any work is done.
     """
+    if patch_size < 2:
+        raise ValueError(f"patch size must be >= 2, got {patch_size}")
     estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
     grid = build_patch_grid(estimate.image, patch_size)
     patched = diffuse_patches(estimate.image, mask, grid, config)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -30,10 +28,10 @@ def diag_kernel() -> np.ndarray:
 
 
 def normalize(kernel) -> np.ndarray:
-    """Scale a kernel so its weights sum to 1."""
+    """Scale a kernel, or each kernel of a stack, so its weights sum to 1."""
     k = np.asarray(kernel, dtype=np.float64)
-    total = float(k.sum())
-    if total <= 0.0:
+    total = k.sum(axis=(-2, -1), keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("degenerate kernel: weights sum to zero")
     return k / total
 
@@ -41,47 +39,37 @@ def normalize(kernel) -> np.ndarray:
 _CUBIC_A = -0.5  # Catmull-Rom
 
 
-def _cubic_weight(t: float) -> float:
-    at = abs(t)
-    if at <= 1.0:
-        return ((_CUBIC_A + 2.0) * at - (_CUBIC_A + 3.0)) * at * at + 1.0
-    if at < 2.0:
-        return (((at - 5.0) * at + 8.0) * at - 4.0) * _CUBIC_A
-    return 0.0
+def _cubic_weights(t: np.ndarray) -> np.ndarray:
+    """Cubic convolution weight of every tap offset in t."""
+    at = np.abs(t)
+    near = ((_CUBIC_A + 2.0) * at - (_CUBIC_A + 3.0)) * at * at + 1.0
+    far = (((at - 5.0) * at + 8.0) * at - 4.0) * _CUBIC_A
+    return np.where(at <= 1.0, near, np.where(at < 2.0, far, 0.0))
 
 
-def bicubic_sample(grid, x: float, y: float) -> float:
-    """Cubic convolution sample of a small grid at continuous (x, y).
+def _bicubic(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic convolution samples of a 2-D grid at continuous (x, y) arrays.
 
     x runs along columns and y along rows; integer coordinates hit grid
     cells exactly. Out-of-range taps are clamped to the nearest edge cell
-    (replicate extension).
+    (replicate extension). The 16 taps are summed row by row, in the
+    same order for every sample.
     """
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 2 or g.size == 0:
-        raise ValueError(f"expected a non-empty 2-D grid, got shape {np.shape(grid)}")
-    last_row = g.shape[0] - 1
-    last_col = g.shape[1] - 1
-    bx = math.floor(x)
-    by = math.floor(y)
-    total = 0.0
+    bx, by = np.floor(x), np.floor(y)
+    total = np.zeros(np.broadcast(x, y).shape)
     for j in range(4):
         iy = by - 1 + j
-        wy = _cubic_weight(y - iy)
-        if wy == 0.0:
-            continue
-        r = min(max(iy, 0), last_row)
+        wy = _cubic_weights(y - iy)
+        r = np.clip(iy, 0, grid.shape[0] - 1).astype(np.intp)
         for i in range(4):
             ix = bx - 1 + i
-            wx = _cubic_weight(x - ix)
-            if wx == 0.0:
-                continue
-            c = min(max(ix, 0), last_col)
-            total += wy * wx * g[r, c]
+            wx = _cubic_weights(x - ix)
+            c = np.clip(ix, 0, grid.shape[1] - 1).astype(np.intp)
+            total += wy * wx * grid[r, c]
     return total
 
 
-def rotate_kernel(theta_deg: float) -> np.ndarray:
+def rotate_kernel(theta_deg) -> np.ndarray:
     """Directional kernel for orientation angle theta, in degrees.
 
     Treats the diagonal kernel as a tiny image and rotates it by
@@ -92,20 +80,15 @@ def rotate_kernel(theta_deg: float) -> np.ndarray:
     Negative bicubic overshoot is clamped to zero and the result is
     normalized, so the output is a valid averaging kernel for every
     angle. Angles 180 degrees apart give the same kernel up to floating
-    point noise.
+    point noise. A scalar angle gives one (3, 3) kernel, an array of
+    angles of shape S an S + (3, 3) stack.
     """
-    angle = math.radians(theta_deg + 45.0)
+    angle = np.radians(np.asarray(theta_deg, dtype=np.float64) + 45.0)[..., None, None]
     # inverse map: rotate each target offset by -angle back into the source
-    cos_a = math.cos(-angle)
-    sin_a = math.sin(-angle)
-    src = diag_kernel()
-    out = np.empty((3, 3))
-    for r in range(3):
-        for c in range(3):
-            x = float(c - 1)
-            y = float(r - 1)
-            sx = x * cos_a - y * sin_a
-            sy = x * sin_a + y * cos_a
-            out[r, c] = bicubic_sample(src, 1.0 + sx, 1.0 + sy)
+    cos_a, sin_a = np.cos(-angle), np.sin(-angle)
+    y, x = np.mgrid[-1:2, -1:2].astype(np.float64)
+    sx = x * cos_a - y * sin_a
+    sy = x * sin_a + y * cos_a
+    out = _bicubic(diag_kernel(), 1.0 + sx, 1.0 + sy)
     np.clip(out, 0.0, None, out=out)
     return normalize(out)

@@ -1,9 +1,10 @@
 """Independent reference implementations the tests check the package against.
 
 Nothing here shares code with the package. The iterative solver is
-checked against a dense linear solve of its fixed-point system, kernel
-rotation at right angles against plain array quarter turns, and the
-bicubic sampler against a separate polynomial-form evaluator.
+checked against a dense linear solve of its fixed-point system and, bit
+for bit, against a plain per-patch loop; kernel rotation at right
+angles against plain array quarter turns, and at every angle against a
+separate polynomial-form bicubic evaluator.
 """
 
 from __future__ import annotations
@@ -80,3 +81,73 @@ def bicubic_direct(grid, x: float, y: float) -> float:
 def quarter_turn(kernel, turns: int) -> np.ndarray:
     """Visually clockwise quarter turns, row axis pointing down."""
     return np.rot90(np.asarray(kernel, dtype=np.float64), -turns)
+
+
+def rotate_kernel_direct(theta_deg: float) -> np.ndarray:
+    """Diagonal kernel turned by theta + 45 degrees, sampled with bicubic_direct."""
+    diag = np.array([[0.38, 0.04, 0.04], [0.04, 0.00, 0.04], [0.04, 0.04, 0.38]])
+    angle = np.radians(theta_deg + 45.0)
+    cos_a, sin_a = np.cos(-angle), np.sin(-angle)
+    out = np.empty((3, 3))
+    for r in range(3):
+        for c in range(3):
+            x, y = c - 1.0, r - 1.0
+            out[r, c] = max(bicubic_direct(diag, 1.0 + x * cos_a - y * sin_a, 1.0 + x * sin_a + y * cos_a), 0.0)
+    return out / out.sum()
+
+
+def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):
+    """Whole-array masked Jacobi iteration under replicate padding.
+
+    Repeats: pad the iterate by edge replication, sum the kernel-weighted
+    shifted copies tap by tap in row-major order (zero taps skipped), put
+    the known pixels back. Stops when the Frobenius distance between
+    consecutive iterates, starting from the all-zero image, is at most
+    epsilon or after max_iters steps. Returns (image, iterations, delta).
+    """
+    original = np.asarray(damaged, dtype=np.float64)
+    known = np.asarray(mask) == 1
+    k = np.asarray(kernel, dtype=np.float64)
+    k = k / k.sum()
+    rows, cols = original.shape
+    cur = original.copy()
+    delta = float(np.sqrt(np.sum(cur * cur)))
+    iterations = 0
+    while delta > epsilon and iterations < max_iters:
+        padded = np.pad(cur, 1, mode="edge")
+        step = np.zeros_like(cur)
+        for r in range(3):
+            for c in range(3):
+                if k[r, c] != 0.0:
+                    step += k[r, c] * padded[r : r + rows, c : c + cols]
+        prev, cur = cur, np.where(known, original, step)
+        iterations += 1
+        delta = float(np.sqrt(np.sum((cur - prev) ** 2)))
+    return cur, iterations, delta
+
+
+def patch_loop(base, mask, patches, epsilon: float, max_iters: int):
+    """Re-diffuse patches one at a time, each inside a fixed 1-pixel halo.
+
+    patches is a sequence of (top, left, height, width, kernel). Each
+    patch runs jacobi_loop on its window extended by one pixel on every
+    side that lies inside the image; the halo pixels count as known. Only
+    patch interiors are written back, into a copy of base. Returns
+    (image, per-patch iteration counts, per-patch final deltas).
+    """
+    base = np.asarray(base, dtype=np.float64)
+    mask = np.asarray(mask)
+    rows, cols = base.shape
+    out = base.copy()
+    counts = []
+    deltas = []
+    for top, left, height, width, kernel in patches:
+        t, lft = max(top - 1, 0), max(left - 1, 0)
+        b, rgt = min(top + height + 1, rows), min(left + width + 1, cols)
+        held = np.ones((b - t, rgt - lft), dtype=np.uint8)
+        held[top - t : top - t + height, left - lft : left - lft + width] = mask[top : top + height, left : left + width]
+        image, iterations, delta = jacobi_loop(base[t:b, lft:rgt], held, kernel, epsilon, max_iters)
+        out[top : top + height, left : left + width] = image[top - t : top - t + height, left - lft : left - lft + width]
+        counts.append(iterations)
+        deltas.append(delta)
+    return out, counts, deltas

@@ -42,9 +42,12 @@ def test_run_algorithm_ids_cover_the_three_entries():
     mask = random_mask(16, 16, 0.3, seed=1)
     damaged = apply_damage(img, mask)
     for name in ALGORITHMS:
-        restored, iterations = run_algorithm(name, damaged, mask)
+        restored, iterations, converged = run_algorithm(name, damaged, mask)
         assert restored.shape == img.shape
         assert iterations > 0
+        assert converged
+    # a capped run says so
+    assert run_algorithm("diffusion-diamond", damaged, mask, DiffusionConfig(max_iters=1))[1:] == (1, False)
     with pytest.raises(ValueError):
         run_algorithm("median-filter", damaged, mask)
 
@@ -60,6 +63,7 @@ def test_run_bench_record_count_and_stable_order():
         assert r.mse >= 0.0
         assert r.wall_seconds >= 0.0
         assert r.iterations > 0
+        assert r.converged
 
 
 def test_run_bench_progress_hook_sees_every_record():
@@ -82,14 +86,14 @@ def test_run_bench_validation():
 
 def test_csv_format(tmp_path):
     records = [
-        BenchRecord("img", "text-scale2", "diffusion-diamond", 0.000123456789, 42, 1.5),
-        BenchRecord("img", "text-scale2", "directional-16", 0.25, 7, 0.0001234567),
+        BenchRecord("img", "text-scale2", "diffusion-diamond", 0.000123456789, 42, 1.5, True),
+        BenchRecord("img", "text-scale2", "directional-16", 0.25, 7, 0.0001234567, False),
     ]
     text = records_to_csv(records)
     lines = text.split("\n")
     assert lines[0] == CSV_HEADER
-    assert lines[1] == "img,text-scale2,diffusion-diamond,0.000123457,42,1.5"
-    assert lines[2] == "img,text-scale2,directional-16,0.25,7,0.000123457"
+    assert lines[1] == "img,text-scale2,diffusion-diamond,0.000123457,42,1.5,True"
+    assert lines[2] == "img,text-scale2,directional-16,0.25,7,0.000123457,False"
     assert text.endswith("\n")
     assert "\r" not in text
 
@@ -100,9 +104,9 @@ def test_csv_format(tmp_path):
 
 def test_aggregate_mean_and_population_std():
     records = [
-        BenchRecord("a", "m", "diffusion-diamond", 1.0, 5, 2.0),
-        BenchRecord("b", "m", "diffusion-diamond", 3.0, 6, 4.0),
-        BenchRecord("a", "m", "directional-16", 2.0, 7, 1.0),
+        BenchRecord("a", "m", "diffusion-diamond", 1.0, 5, 2.0, True),
+        BenchRecord("b", "m", "diffusion-diamond", 3.0, 6, 4.0, True),
+        BenchRecord("a", "m", "directional-16", 2.0, 7, 1.0, True),
     ]
     rows = aggregate_records(records)
     by_algo = {row.algorithm: row for row in rows}

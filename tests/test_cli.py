@@ -231,21 +231,46 @@ def test_bench_end_to_end(tmp_path, capsys):
     )
     assert code == EXIT_OK
     lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "image_id,mask_id,algorithm,mse,iterations,wall_seconds"
+    assert lines[0] == "image_id,mask_id,algorithm,mse,iterations,wall_seconds,converged"
     assert len(lines) == 1 + 2 * 2 * 1
     assert lines[1].startswith("one,random-0.3-seed42,diffusion-diamond,")
     agg_lines = agg_path.read_text().strip().split("\n")
     assert len(agg_lines) == 1 + 2
+    assert lines[1].endswith(",True")
     assert "wrote" in capsys.readouterr().out
 
 
-def test_bench_usage_and_io_errors(tmp_path):
+def test_bench_warns_when_max_iters_stops_a_run(tmp_path, capsys):
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    write_image(np.random.default_rng(53).uniform(size=(16, 16)), img_dir / "one.pgm")
+    csv_path = tmp_path / "results.csv"
+    argv = ["bench", "--images", str(img_dir), "--out", str(csv_path), "--algos", "diffusion-diamond", "--random-fractions", "0.5"]
+    assert main(argv + ["--max-iters", "1"]) == EXIT_OK
+    row = csv_path.read_text().strip().split("\n")[1].split(",")
+    assert (row[4], row[6]) == ("1", "False")
+    assert capsys.readouterr().err == (
+        "inpaintkit: warning: stopped at max-iters 1 without converging (one random-0.5-seed42 diffusion-diamond)\n"
+    )
+    # a converged run stays silent on stderr
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert csv_path.read_text().strip().split("\n")[1].endswith(",True")
+
+
+def test_bench_usage_and_io_errors(tmp_path, capsys):
     img_dir = tmp_path / "images"
     img_dir.mkdir()
     csv_path = str(tmp_path / "r.csv")
     # unknown algorithm and no masks requested are usage errors
     assert main(["bench", "--images", str(img_dir), "--out", csv_path, "--algos", "nope", "--text", "x"]) == EXIT_USAGE
     assert main(["bench", "--images", str(img_dir), "--out", csv_path]) == EXIT_USAGE
+    # out-of-range settings are usage errors that name the flag and its value
+    capsys.readouterr()
+    base = ["bench", "--images", str(img_dir), "--out", csv_path, "--text", "x"]
+    for flag, value, bound in (("--epsilon", "-0.5", "0"), ("--epsilon", "nan", "0"), ("--max-iters", "0", "1")):
+        assert main(base + [flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
     # an empty image directory is an I/O error
     assert main(["bench", "--images", str(img_dir), "--out", csv_path, "--text", "x"]) == EXIT_IO
     assert main(["bench", "--images", str(tmp_path / "missing"), "--out", csv_path, "--text", "x"]) == EXIT_IO

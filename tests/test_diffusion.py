@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, convolve, diffuse
+from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, diffuse
 from inpaintkit.directional import inpaint_directional
 from inpaintkit.kernels import diag_kernel, diamond_kernel
 from inpaintkit.masks import apply_damage, random_mask
@@ -22,9 +22,15 @@ def test_config_validation():
     assert cfg.epsilon == 1e-3 and cfg.max_iters == 10_000
 
 
+def _one_step(img, kernel):
+    """One diffusion step with every pixel missing: a plain 3x3 convolution."""
+    missing = np.zeros(np.shape(img), dtype=np.uint8)
+    return diffuse(img, missing, kernel, DiffusionConfig(max_iters=1)).image
+
+
 def test_convolve_hand_values_with_replicate_border():
     img = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = convolve(img, diamond_kernel())
+    out = _one_step(img, diamond_kernel())
     # each output pixel averages up/down/left/right with edge replication
     expected = np.array(
         [
@@ -40,12 +46,12 @@ def test_convolve_identity_kernel():
     img = rng.uniform(size=(5, 7))
     k = np.zeros((3, 3))
     k[1, 1] = 1.0
-    assert np.array_equal(convolve(img, k), img)
+    assert np.array_equal(_one_step(img, k), img)
 
 
 def test_convolve_rejects_wrong_kernel_shape():
-    with pytest.raises(ValueError):
-        convolve(np.ones((4, 4)), np.ones((5, 5)))
+    with pytest.raises(ValueError, match="3x3"):
+        _one_step(np.ones((4, 4)), np.ones((5, 5)))
 
 
 def test_all_known_mask_converges_in_one_iteration():
@@ -131,7 +137,7 @@ def test_one_extra_step_moves_at_most_epsilon():
     cfg = DiffusionConfig(epsilon=1e-4)
     res = diffuse(damaged, mask, diamond_kernel(), cfg)
     assert res.converged
-    extra = np.where(mask == 1, damaged, convolve(res.image, diamond_kernel()))
+    extra = diffuse(res.image, mask, diamond_kernel(), DiffusionConfig(max_iters=1)).image
     assert np.linalg.norm(extra - res.image) <= cfg.epsilon
 
 
@@ -150,6 +156,13 @@ def test_callback_sees_every_iteration():
     calls = []
     res = diffuse(damaged, mask, diamond_kernel(), callback=lambda i, cur: calls.append(i))
     assert calls == list(range(1, res.iterations + 1))
+    # each iterate handed out is the caller's own copy, still valid after the run
+    row = np.array([[0.0, 0.0, 0.0, 0.0, 1.0]])
+    seen = []
+    res = diffuse(row, np.array([[1, 0, 0, 0, 1]]), diamond_kernel(), callback=lambda i, cur: seen.append(cur))
+    assert len(seen) == res.iterations > 2
+    assert seen[0][0, 3] == 0.25 and seen[1][0, 3] == 0.375
+    assert np.array_equal(seen[-1], res.image)
 
 
 def test_shape_mismatch_and_bad_mask_raise():

@@ -17,7 +17,7 @@ from inpaintkit.directional import (
 from inpaintkit.kernels import diag_kernel, diamond_kernel, rotate_kernel
 from inpaintkit.masks import apply_damage, random_mask
 
-from oracles import harmonic_fill
+from oracles import harmonic_fill, jacobi_loop, patch_loop
 
 
 def _hstripes(n: int, period: int = 4) -> np.ndarray:
@@ -76,6 +76,41 @@ def test_forced_diagonal_grid_matches_whole_image_run():
     oracle = harmonic_fill(damaged, mask, diag_kernel())
     assert np.max(np.abs(patched.image - whole.image)) <= 1e-6
     assert np.max(np.abs(patched.image - oracle)) <= 1e-6
+
+
+def test_stacked_engine_matches_the_reference_patch_loop():
+    # 45x38 with patch 8 gives four patch shapes: full, clipped right,
+    # clipped bottom and the clipped corner
+    rng = np.random.default_rng(19)
+    img = rng.uniform(size=(45, 38))
+    mask = random_mask(45, 38, 0.5, seed=10)
+    damaged = apply_damage(img, mask)
+    cfg = DiffusionConfig(max_iters=300)
+    estimate, _, _ = jacobi_loop(damaged, mask, diamond_kernel(), cfg.epsilon, cfg.max_iters)
+    grid = build_patch_grid(estimate, 8)
+    patches = [(pc.top, pc.left, pc.height, pc.width, k) for pc, k in zip(grid.coords, grid.kernels)]
+    ref, counts, deltas = patch_loop(estimate, mask, patches, cfg.epsilon, cfg.max_iters)
+
+    res = diffuse_patches(estimate, mask, grid, cfg)
+    assert np.array_equal(res.image, ref)
+    assert res.iterations == sum(counts)
+    assert res.final_delta == pytest.approx(max(deltas), rel=1e-12, abs=0.0)
+    singles = [diffuse_patches(estimate, mask, PatchGrid((pc,), (a,), (k,)), cfg) for pc, a, k in zip(grid.coords, grid.angles, grid.kernels)]
+    assert [r.iterations for r in singles] == counts
+    assert len(set(counts)) > 1
+    whole = inpaint_directional(damaged, mask, 8, cfg)
+    assert np.array_equal(whole.estimate.image, estimate)
+    assert np.array_equal(whole.image, ref)
+
+
+def test_patch_size_is_checked_before_the_estimate_pass():
+    rng = np.random.default_rng(20)
+    mask = random_mask(16, 16, 0.5, seed=11)
+    damaged = apply_damage(rng.uniform(size=(16, 16)), mask)
+    calls = []
+    with pytest.raises(ValueError, match="patch size must be >= 2, got 1"):
+        inpaint_directional(damaged, mask, patch_size=1, callback=lambda i, cur: calls.append(i))
+    assert calls == []
 
 
 def test_known_pixels_pass_through_untouched():

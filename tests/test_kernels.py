@@ -1,13 +1,19 @@
-"""Tests for the kernel constants, bicubic sampling and kernel rotation."""
+"""Tests for the kernel constants, the array bicubic sampler and kernel rotation.
+
+The sampler is private: rotate_kernel calls it once for a whole array of
+angles. It is pinned here on its own against frozen values and the
+independent oracles.bicubic_direct, and rotate_kernel is pinned against
+oracles.rotate_kernel_direct for scalar and array input.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from inpaintkit.kernels import bicubic_sample, diag_kernel, diamond_kernel, normalize, rotate_kernel
+from inpaintkit.kernels import _bicubic, diag_kernel, diamond_kernel, normalize, rotate_kernel
 
-from oracles import bicubic_direct, quarter_turn
+from oracles import bicubic_direct, quarter_turn, rotate_kernel_direct
 
 # frozen from oracles.bicubic_direct before the sampler was tested;
 # vertical ramp grid with rows 0, 0.5, 1
@@ -49,6 +55,14 @@ def test_normalize_scales_to_unit_sum():
     assert np.isclose(k.sum(), 1.0)
 
 
+def test_normalize_scales_each_kernel_of_a_stack():
+    stack = np.stack([np.full((3, 3), 2.0), diag_kernel() * 3.0])
+    out = normalize(stack)
+    assert out.shape == (2, 3, 3)
+    assert np.array_equal(out[0], normalize(stack[0]))
+    assert np.array_equal(out[1], normalize(stack[1]))
+
+
 def test_normalize_rejects_degenerate_kernels():
     with pytest.raises(ValueError):
         normalize(np.zeros((3, 3)))
@@ -61,7 +75,7 @@ def test_bicubic_reproduces_grid_nodes():
     g = rng.uniform(size=(4, 6))
     for r in range(4):
         for c in range(6):
-            assert bicubic_sample(g, float(c), float(r)) == pytest.approx(g[r, c], abs=1e-12)
+            assert _bicubic(g, float(c), float(r)) == pytest.approx(g[r, c], abs=1e-12)
 
 
 def test_bicubic_constant_grid_is_constant_everywhere():
@@ -70,19 +84,19 @@ def test_bicubic_constant_grid_is_constant_everywhere():
     for _ in range(50):
         x = float(rng.uniform(-1.0, 3.0))
         y = float(rng.uniform(-1.0, 3.0))
-        assert bicubic_sample(g, x, y) == pytest.approx(0.37, abs=1e-12)
+        assert _bicubic(g, x, y) == pytest.approx(0.37, abs=1e-12)
 
 
 def test_bicubic_center_of_ramp_is_the_mean():
     # at the grid centre all taps are interior, so the vertical ramp
     # interpolates exactly to the arithmetic mean of its endpoints
-    assert bicubic_sample(_RAMP, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert _bicubic(_RAMP, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize(("point", "expected"), _RAMP_CASES)
 def test_bicubic_frozen_ramp_values(point, expected):
     x, y = point
-    assert bicubic_sample(_RAMP, x, y) == pytest.approx(expected, abs=1e-12)
+    assert _bicubic(_RAMP, x, y) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize(("point", "expected"), _RAND45_CASES)
@@ -90,7 +104,7 @@ def test_bicubic_frozen_random_grid_values(point, expected):
     rng = np.random.default_rng(1234)
     g = rng.uniform(size=(4, 5))
     x, y = point
-    assert bicubic_sample(g, x, y) == pytest.approx(expected, abs=1e-12)
+    assert _bicubic(g, x, y) == pytest.approx(expected, abs=1e-12)
 
 
 def test_bicubic_matches_direct_evaluator_on_random_cases():
@@ -99,12 +113,7 @@ def test_bicubic_matches_direct_evaluator_on_random_cases():
         g = rng.uniform(size=(int(rng.integers(2, 7)), int(rng.integers(2, 7))))
         x = float(rng.uniform(-1.5, g.shape[1] + 0.5))
         y = float(rng.uniform(-1.5, g.shape[0] + 0.5))
-        assert bicubic_sample(g, x, y) == pytest.approx(bicubic_direct(g, x, y), abs=1e-12)
-
-
-def test_bicubic_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        bicubic_sample(np.zeros(3), 0.0, 0.0)
+        assert _bicubic(g, x, y) == pytest.approx(bicubic_direct(g, x, y), abs=1e-12)
 
 
 def test_rotate_minus_45_is_the_diagonal_kernel():
@@ -148,3 +157,14 @@ def test_rotated_center_weight_stays_small():
     for i in range(72):
         k = rotate_kernel(-180.0 + i * 5.0)
         assert k[1, 1] < k.max()
+
+
+def test_rotate_kernel_matches_direct_bicubic_for_array_and_scalar_input():
+    thetas = np.linspace(-180.0, 180.0, 721)
+    stack = rotate_kernel(thetas)
+    assert stack.shape == (721, 3, 3)
+    for theta, k in zip(thetas, stack):
+        expected = rotate_kernel_direct(float(theta))
+        assert np.max(np.abs(k - expected)) <= 1e-12
+        assert np.array_equal(rotate_kernel(float(theta)), k)
+    assert rotate_kernel(np.array([[10.0, 20.0], [30.0, 40.0]])).shape == (2, 2, 3, 3)
