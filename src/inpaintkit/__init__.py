@@ -16,7 +16,7 @@ from .directional import (
     inpaint_directional,
     render_directionality_overlay,
 )
-from .directionality import PatchMetrics, patch_metrics, shift_diff
+from .directionality import PatchMetrics, patch_angles, patch_metrics, shift_diff
 from .image_io import ImageFormatError, read_image, write_image
 from .kernels import diag_kernel, diamond_kernel, normalize, rotate_kernel
 from .masks import MaskSpec, apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
@@ -37,6 +37,7 @@ __all__ = [
     "inpaint_directional",
     "render_directionality_overlay",
     "PatchMetrics",
+    "patch_angles",
     "patch_metrics",
     "shift_diff",
     "ImageFormatError",

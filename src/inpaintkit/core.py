@@ -8,6 +8,7 @@ arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,14 @@ def as_mask(values) -> np.ndarray:
     if not set(np.unique(m).tolist()) <= {0, 1}:
         raise ValueError("mask values must be 0 (missing) or 1 (known)")
     return m.astype(np.uint8, copy=False)
+
+
+def as_int(value, name: str) -> int:
+    """Return an integer argument as an int; a float or other non-integer raises TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, what: str = "arrays") -> None:
@@ -73,6 +82,7 @@ def split_into_patches(rows: int, cols: int, n: int) -> list[PatchCoords]:
     Trailing patches are clipped to the image boundary, so every pixel
     belongs to exactly one patch.
     """
+    n = as_int(n, "patch size")
     if n < 2:
         raise ValueError(f"patch size must be >= 2, got {n}")
     if rows < 1 or cols < 1:
@@ -82,3 +92,11 @@ def split_into_patches(rows: int, cols: int, n: int) -> list[PatchCoords]:
         for left in range(0, cols, n):
             out.append(PatchCoords(top, left, min(n, rows - top), min(n, cols - left)))
     return out
+
+
+def group_by_shape(coords) -> dict[tuple[int, int], list[int]]:
+    """Indices of the patches of each (height, width), in first-seen order."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pc in enumerate(coords):
+        groups.setdefault((pc.height, pc.width), []).append(i)
+    return groups

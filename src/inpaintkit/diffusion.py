@@ -5,7 +5,9 @@ outside the image are ghost cells that copy the region's edge before
 every step (replicate padding); the other ring cells are a halo held at
 the image's values. A step replaces every missing pixel by the kernel
 sum over its 3x3 neighbourhood and never writes a known one, so known
-pixels are preserved bit for bit.
+pixels are preserved bit for bit. Only the missing cells of windows that
+are still running are computed: a window that has stopped drops out of
+the step, so finished windows cost nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PatchCoords, as_image, as_mask, require_same_shape
+from .core import PatchCoords, as_image, as_int, as_mask, group_by_shape, require_same_shape
 from .kernels import normalize
 
 
@@ -24,6 +26,7 @@ class DiffusionConfig:
     max_iters: int = 10_000
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters"))
         if not (self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.max_iters < 1:
@@ -57,7 +60,8 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
 
     Raises:
         ValueError: on a shape mismatch, a non-binary mask, a kernel that
-            is not 3x3, or any NaN or infinite pixel, known or missing.
+            is not 3x3 or has a negative or non-finite weight, or any NaN
+            or infinite pixel, known or missing.
     """
     damaged = as_image(damaged)
     on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0].copy()))
@@ -72,11 +76,15 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
 
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
+    A step computes the missing cells only: they are held as flat stack
+    indices in window-major order, so each tap is a gather at a constant
+    offset and the per-window deltas are one bincount over window ids.
     A window's first delta is the norm of its ring-extended window
-    clipped to the image. Each window stops on its own threshold or cap
-    and is then frozen. on_step(counts, interiors), if given, is called
-    after every step. Returns the image with every interior written back,
-    and per region the iterations, final deltas and converged flags.
+    clipped to the image. Each window stops on its own threshold or cap,
+    and its cells are then dropped from the step. on_step(counts,
+    interiors), if given, is called after every step. Returns the image
+    with every interior written back, and per region the iterations,
+    final deltas and converged flags.
     """
     image = as_image(image)
     mask = as_mask(mask)
@@ -87,51 +95,77 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     k = np.asarray(kernels, dtype=np.float64)
     if k.shape[1:] != (3, 3):
         raise ValueError(f"expected one 3x3 kernel per region, got kernels of shape {k.shape}")
+    bad = k.size - int(np.count_nonzero(np.isfinite(k) & (k >= 0.0)))
+    if bad:
+        raise ValueError(f"kernels have {bad} negative or non-finite weight(s); weights must be finite and >= 0")
     k = normalize(k)
     cfg = config if config is not None else DiffusionConfig()
 
     out = image.copy()
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
-    groups: dict[tuple, list[int]] = {}
-    for i, pc in enumerate(coords):
-        groups.setdefault((pc.height, pc.width), []).append(i)
-    for (h, w), idx in groups.items():
-        win = np.empty((len(idx), h + 2, w + 2))
-        free = np.empty((len(idx), h, w), dtype=bool)  # missing pixels
-        ghost = np.empty((4, len(idx), 1), dtype=bool)  # top, bottom, left, right
+    for (h, w), idx in group_by_shape(coords).items():
+        n, stride = len(idx), w + 2
+        win = np.empty((n, h + 2, w + 2))
+        free = np.zeros(win.shape, dtype=bool)  # missing interior cells
+        ghost = np.empty((4, n), dtype=bool)  # top, bottom, left, right
         for j, i in enumerate(idx):
             pc = coords[i]
-            ghost[:, j, 0] = (pc.top == 0, pc.top + h == image.shape[0], pc.left == 0, pc.left + w == image.shape[1])
-            top, left = int(ghost[0, j, 0]), int(ghost[2, j, 0])  # 1 where the ring side is a ghost
+            ghost[:, j] = (pc.top == 0, pc.top + h == image.shape[0], pc.left == 0, pc.left + w == image.shape[1])
+            top, left = int(ghost[0, j]), int(ghost[2, j])  # 1 where the ring side is a ghost
             halo = image[pc.top - 1 + top : pc.top + h + 1, pc.left - 1 + left : pc.left + w + 1]
             deltas[i] = np.sqrt(np.sum(halo * halo))
             win[j, top : top + halo.shape[0], left : left + halo.shape[1]] = halo
-            free[j] = mask[pc.row_slice, pc.col_slice] == 0
-        inner = win[:, 1:-1, 1:-1]
-        acc, tmp = np.empty((2, *free.shape))
-        # row-major taps, the order the sum is accumulated in; all-zero taps are skipped
-        taps = [(r, c, k[idx, r, c, None, None]) for r in range(3) for c in range(3) if k[idx, r, c].any()]
+            free[j, 1:-1, 1:-1] = mask[pc.row_slice, pc.col_slice] == 0
+        ghost_top, ghost_bottom, ghost_left, ghost_right = (np.flatnonzero(g) for g in ghost)
         delta, count = deltas[idx], iterations[idx]
-        while (running := (delta > cfg.epsilon) & (count < cfg.max_iters)).any():
+        running = (delta > cfg.epsilon) & (count < cfg.max_iters)
+        # the missing cells of running windows, as flat indices shifted back by
+        # the (0, 0) tap's offset: tap (r, c) gathers flat[r * stride + c:][cells]
+        cells = np.flatnonzero(free & running[:, None, None])
+        del free
+        wid = cells // win[0].size
+        cells -= stride + 1
+        # row-major taps, the order the sum is accumulated in; a tap is skipped
+        # when it is zero in every kernel and is a scalar when they all agree
+        taps = []
+        for r in range(3):
+            for c in range(3):
+                weight = k[idx, r, c]
+                if weight.any():
+                    taps.append((r * stride + c, weight[0] if (weight == weight[0]).all() else weight))
+        flat = win.reshape(-1)
+        centre = flat[stride + 1 :]
+        inner = win[:, 1:-1, 1:-1]
+        acc, tmp = np.empty((2, len(cells)))
+        cell_weight = np.empty(len(cells)) if any(np.ndim(weight) for _, weight in taps) else None
+        while running.any():
             # ghost sides copy the interior edge; full-length copies also fill the corners
-            np.copyto(win[:, 0], win[:, 1], where=ghost[0])
-            np.copyto(win[:, -1], win[:, -2], where=ghost[1])
-            np.copyto(win[:, :, 0], win[:, :, 1], where=ghost[2])
-            np.copyto(win[:, :, -1], win[:, :, -2], where=ghost[3])
-            (r, c, weight), *rest = taps
-            np.multiply(win[:, r : r + h, c : c + w], weight, out=acc)
-            for r, c, weight in rest:
-                acc += np.multiply(win[:, r : r + h, c : c + w], weight, out=tmp)
-            moving = free & running[:, None, None]
-            np.subtract(acc, inner, out=tmp)
-            tmp *= moving
-            tmp *= tmp
-            delta[running] = np.sqrt(tmp.sum(axis=(1, 2)))[running]
+            win[ghost_top, 0] = win[ghost_top, 1]
+            win[ghost_bottom, -1] = win[ghost_bottom, -2]
+            win[ghost_left, :, 0] = win[ghost_left, :, 1]
+            win[ghost_right, :, -1] = win[ghost_right, :, -2]
+            # every index is in range; mode="clip" lets take write straight into out
+            m = len(cells)
+            for j, (shift, weight) in enumerate(taps):
+                term = tmp[:m] if j else acc[:m]
+                np.take(flat[shift:], cells, out=term, mode="clip")
+                term *= np.take(weight, wid, out=cell_weight[:m], mode="clip") if np.ndim(weight) else weight
+                if j:
+                    acc[:m] += term
+            step = np.take(centre, cells, out=tmp[:m], mode="clip")
+            np.subtract(acc[:m], step, out=step)
+            step *= step
+            delta[running] = np.sqrt(np.bincount(wid, step, minlength=n))[running]
             count += running
-            np.copyto(inner, acc, where=moving)
+            centre[cells] = acc[:m]
             if on_step is not None:
                 on_step(count, inner)
+            stopped = running & ~((delta > cfg.epsilon) & (count < cfg.max_iters))
+            if stopped.any():
+                running &= ~stopped
+                keep = running[wid]
+                cells, wid = cells[keep], wid[keep]
         deltas[idx], iterations[idx] = delta, count
         for j, i in enumerate(idx):
             out[coords[i].row_slice, coords[i].col_slice] = win[j, 1:-1, 1:-1]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_image, split_into_patches
+from .core import as_image, as_int, group_by_shape, split_into_patches
 from .diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
-from .directionality import patch_metrics
+from .directionality import patch_angles
 from .kernels import diamond_kernel, rotate_kernel
 
 
@@ -57,8 +57,10 @@ def build_patch_grid(image, patch_size: int) -> PatchGrid:
     """Split an image into patches and attach per-patch angles and kernels."""
     img = as_image(image)
     coords = split_into_patches(img.shape[0], img.shape[1], patch_size)
-    angles = [patch_metrics(img[pc.row_slice, pc.col_slice]).theta for pc in coords]
-    return PatchGrid(tuple(coords), tuple(angles), tuple(rotate_kernel(angles)))
+    angles = np.empty(len(coords))
+    for idx in group_by_shape(coords).values():
+        angles[idx] = patch_angles(np.stack([img[coords[i].row_slice, coords[i].col_slice] for i in idx]))
+    return PatchGrid(tuple(coords), tuple(angles.tolist()), tuple(rotate_kernel(angles)))
 
 
 def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None = None) -> DiffusionResult:
@@ -86,8 +88,10 @@ def inpaint_directional(
     callback, if given, is passed to the estimate pass only and is called
     as callback(iteration, image) after each of its iterations; the
     per-patch runs do not report progress.
-    A patch_size below 2 raises ValueError before any work is done.
+    A patch_size that is not an integer raises TypeError, and one below 2
+    ValueError, before any work is done.
     """
+    patch_size = as_int(patch_size, "patch_size")
     if patch_size < 2:
         raise ValueError(f"patch size must be >= 2, got {patch_size}")
     estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)

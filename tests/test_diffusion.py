@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, diffuse
-from inpaintkit.directional import inpaint_directional
+from inpaintkit.directional import PatchGrid, build_patch_grid, diffuse_patches, inpaint_directional
 from inpaintkit.kernels import diag_kernel, diamond_kernel
 from inpaintkit.masks import apply_damage, random_mask
 
@@ -20,6 +22,14 @@ def test_config_validation():
         DiffusionConfig(max_iters=0)
     cfg = DiffusionConfig()
     assert cfg.epsilon == 1e-3 and cfg.max_iters == 10_000
+
+
+def test_non_integer_max_iters_fails_at_entry():
+    calls = []
+    with pytest.raises(TypeError, match="max_iters must be an integer, got 2.5"):
+        diffuse(np.zeros((4, 4)), np.zeros((4, 4)), diamond_kernel(), DiffusionConfig(max_iters=2.5), lambda i, cur: calls.append(i))
+    assert calls == []
+    assert DiffusionConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def _one_step(img, kernel):
@@ -193,3 +203,40 @@ def test_result_is_a_frozen_record():
     res = DiffusionResult(np.zeros((2, 2)), 1, 0.0, True)
     with pytest.raises(AttributeError):
         res.iterations = 5
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
+def test_bad_kernel_weight_raises(weight):
+    rng = np.random.default_rng(10)
+    mask = random_mask(20, 20, 0.5, seed=12)
+    damaged = apply_damage(rng.uniform(size=(20, 20)), mask)
+    bad = diamond_kernel()
+    bad[0, 1] = weight
+    with pytest.raises(ValueError, match="1 negative or non-finite weight"):
+        diffuse(damaged, mask, bad, DiffusionConfig(max_iters=50))
+    grid = build_patch_grid(damaged, 8)
+    kernels = list(grid.kernels)
+    kernels[4] = bad
+    with pytest.raises(ValueError, match="1 negative or non-finite weight"):
+        diffuse_patches(damaged, mask, PatchGrid(grid.coords, grid.angles, kernels))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda d, m: diffuse(d, m, diamond_kernel()), lambda d, m: diffuse_patches(d, m, build_patch_grid(d, 16))],
+    ids=["diffuse", "diffuse_patches"],
+)
+def test_traced_peak_stays_within_eight_images(run):
+    # the engine's per-cell state (indices, window ids, two sums) is a few
+    # words per missing pixel; a per-tap index or weight table is not
+    rng = np.random.default_rng(11)
+    mask = random_mask(256, 256, 0.5, seed=13)
+    damaged = apply_damage(rng.uniform(size=(256, 256)), mask)
+    run(damaged, mask)  # warm-up, so one-off allocations are not counted
+    tracemalloc.start()
+    try:
+        run(damaged, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * damaged.nbytes

@@ -14,6 +14,7 @@ from inpaintkit.directional import (
     inpaint_directional,
     render_directionality_overlay,
 )
+from inpaintkit.directionality import patch_metrics
 from inpaintkit.kernels import diag_kernel, diamond_kernel, rotate_kernel
 from inpaintkit.masks import apply_damage, random_mask
 
@@ -207,3 +208,25 @@ def test_overlay_leaves_the_input_alone():
     before = img.copy()
     render_directionality_overlay(img, grid)
     assert np.array_equal(img, before)
+
+
+def test_non_integer_patch_size_fails_before_the_estimate_pass():
+    rng = np.random.default_rng(21)
+    mask = random_mask(16, 16, 0.5, seed=12)
+    damaged = apply_damage(rng.uniform(size=(16, 16)), mask)
+    calls = []
+    with pytest.raises(TypeError, match="patch_size must be an integer, got 16.0"):
+        inpaint_directional(damaged, mask, patch_size=16.0, callback=lambda i, cur: calls.append(i))
+    assert calls == []
+    with pytest.raises(TypeError, match="patch size must be an integer"):
+        build_patch_grid(damaged, 4.0)
+
+
+def test_stacked_angles_match_per_patch_metrics():
+    # 45x38 with patch 8 clips the last patch row and column; the quantised
+    # image makes exact ties between v, h and the diagonal likely
+    rng = np.random.default_rng(22)
+    for img in (rng.uniform(size=(45, 38)), np.round(rng.uniform(size=(45, 38)) * 3) / 3):
+        for n in (2, 7, 8, 45):
+            grid = build_patch_grid(img, n)
+            assert grid.angles == tuple(patch_metrics(img[pc.row_slice, pc.col_slice]).theta for pc in grid.coords)
