@@ -27,7 +27,7 @@ def as_mask(values) -> np.ndarray:
     m = np.asarray(values)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a non-empty 2-D mask, got shape {np.shape(values)}")
-    if not set(np.unique(m).tolist()) <= {0, 1}:
+    if np.count_nonzero((m != 0) & (m != 1)):
         raise ValueError("mask values must be 0 (missing) or 1 (known)")
     return m.astype(np.uint8, copy=False)
 

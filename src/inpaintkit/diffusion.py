@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import PatchCoords, as_image, as_int, as_mask, group_by_shape, require_same_shape
 from .kernels import normalize
@@ -76,15 +77,18 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
 
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
-    A step computes the missing cells only: they are held as flat stack
-    indices in window-major order, so each tap is a gather at a constant
-    offset and the per-window deltas are one bincount over window ids.
-    A window's first delta is the norm of its ring-extended window
-    clipped to the image. Each window stops on its own threshold or cap,
-    and its cells are then dropped from the step. on_step(counts,
-    interiors), if given, is called after every step. Returns the image
-    with every interior written back, and per region the iterations,
-    final deltas and converged flags.
+    The stack is one gather from the zero-padded image, so a window's
+    first delta is the norm of its ring-extended window clipped to the
+    image; ghost cells are refreshed before every step. A step computes
+    the missing cells only: they are held as flat stack indices in
+    window-major order, so each tap is a gather at a constant offset,
+    their current values are kept beside the stack as one vector, and
+    the per-window deltas are segment sums over each window's cells.
+    Each window stops on its own threshold or cap, and its cells are
+    then dropped from the step. on_step(counts, interiors), if given, is
+    called after every step. Returns the image with every interior
+    written back in one assignment, and per region the iterations, final
+    deltas and converged flags.
     """
     image = as_image(image)
     mask = as_mask(mask)
@@ -104,20 +108,20 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     out = image.copy()
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
+    origins = np.array([(pc.top, pc.left) for pc in coords])
     for (h, w), idx in group_by_shape(coords).items():
-        n, stride = len(idx), w + 2
-        win = np.empty((n, h + 2, w + 2))
+        stride = w + 2
+        tops, lefts = origins[idx].T
+        # window (t, l) of the zero-padded image is the region at (t, l) inside
+        # its ring; ghost cells hold 0 until the first step refreshes them, so
+        # the first delta counts the cells inside the image only
+        win = sliding_window_view(np.pad(image, 1), (h + 2, w + 2))[tops, lefts]
+        deltas[idx] = np.sqrt(np.sum(win * win, axis=(1, 2)))
         free = np.zeros(win.shape, dtype=bool)  # missing interior cells
-        ghost = np.empty((4, n), dtype=bool)  # top, bottom, left, right
-        for j, i in enumerate(idx):
-            pc = coords[i]
-            ghost[:, j] = (pc.top == 0, pc.top + h == image.shape[0], pc.left == 0, pc.left + w == image.shape[1])
-            top, left = int(ghost[0, j]), int(ghost[2, j])  # 1 where the ring side is a ghost
-            halo = image[pc.top - 1 + top : pc.top + h + 1, pc.left - 1 + left : pc.left + w + 1]
-            deltas[i] = np.sqrt(np.sum(halo * halo))
-            win[j, top : top + halo.shape[0], left : left + halo.shape[1]] = halo
-            free[j, 1:-1, 1:-1] = mask[pc.row_slice, pc.col_slice] == 0
-        ghost_top, ghost_bottom, ghost_left, ghost_right = (np.flatnonzero(g) for g in ghost)
+        free[:, 1:-1, 1:-1] = sliding_window_view(mask, (h, w))[tops, lefts] == 0
+        ghost_top, ghost_bottom, ghost_left, ghost_right = (
+            np.flatnonzero(g) for g in (tops == 0, tops + h == image.shape[0], lefts == 0, lefts + w == image.shape[1])
+        )
         delta, count = deltas[idx], iterations[idx]
         running = (delta > cfg.epsilon) & (count < cfg.max_iters)
         # the missing cells of running windows, as flat indices shifted back by
@@ -126,6 +130,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         del free
         wid = cells // win[0].size
         cells -= stride + 1
+        starts, owners = _segments(wid)
         # row-major taps, the order the sum is accumulated in; a tap is skipped
         # when it is zero in every kernel and is a scalar when they all agree
         taps = []
@@ -137,7 +142,8 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         flat = win.reshape(-1)
         centre = flat[stride + 1 :]
         inner = win[:, 1:-1, 1:-1]
-        acc, tmp = np.empty((2, len(cells)))
+        acc, x, tmp = np.empty((3, len(cells)))
+        np.take(centre, cells, out=x)  # the cells' current values
         cell_weight = np.empty(len(cells)) if any(np.ndim(weight) for _, weight in taps) else None
         while running.any():
             # ghost sides copy the interior edge; full-length copies also fill the corners
@@ -153,12 +159,13 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                 term *= np.take(weight, wid, out=cell_weight[:m], mode="clip") if np.ndim(weight) else weight
                 if j:
                     acc[:m] += term
-            step = np.take(centre, cells, out=tmp[:m], mode="clip")
-            np.subtract(acc[:m], step, out=step)
+            step = np.subtract(acc[:m], x[:m], out=tmp[:m])
             step *= step
-            delta[running] = np.sqrt(np.bincount(wid, step, minlength=n))[running]
+            delta[running] = 0.0  # a running window without missing cells steps with delta 0
+            delta[owners] = np.sqrt(np.add.reduceat(step, starts))
             count += running
             centre[cells] = acc[:m]
+            acc, x = x, acc
             if on_step is not None:
                 on_step(count, inner)
             stopped = running & ~((delta > cfg.epsilon) & (count < cfg.max_iters))
@@ -166,7 +173,15 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                 running &= ~stopped
                 keep = running[wid]
                 cells, wid = cells[keep], wid[keep]
+                x[: len(cells)] = x[:m][keep]
+                starts, owners = _segments(wid)
         deltas[idx], iterations[idx] = delta, count
-        for j, i in enumerate(idx):
-            out[coords[i].row_slice, coords[i].col_slice] = win[j, 1:-1, 1:-1]
+        # window (t, l) of out is the region at (t, l) itself
+        sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner
     return out, iterations, deltas, deltas <= cfg.epsilon
+
+
+def _segments(wid):
+    """Start of each run of equal window ids in a sorted array, and its id."""
+    starts = np.flatnonzero(np.diff(wid, prepend=-1))
+    return starts, wid[starts]

@@ -117,16 +117,15 @@ def render_directionality_overlay(img, grid: PatchGrid) -> np.ndarray:
     """
     out = as_image(img).copy()
     rows, cols = out.shape
-    for pc, theta in zip(grid.coords, grid.angles):
-        cy = pc.top + (pc.height - 1) / 2.0
-        cx = pc.left + (pc.width - 1) / 2.0
-        half = 0.4 * min(pc.height, pc.width)
-        t = np.radians(theta)
-        dx, dy = -np.sin(t), np.cos(t)
-        steps = max(int(np.ceil(4.0 * half)), 1)
-        for s in np.linspace(-half, half, steps):
-            r = int(round(cy + s * dy))
-            c = int(round(cx + s * dx))
-            if 0 <= r < rows and 0 <= c < cols:
-                out[r, c] = 1.0
+    t = np.radians(grid.angles)
+    dx, dy = -np.sin(t), np.cos(t)
+    origins = np.array([(pc.top, pc.left) for pc in grid.coords])
+    for (h, w), idx in group_by_shape(grid.coords).items():
+        half = 0.4 * min(h, w)
+        s = np.linspace(-half, half, max(int(np.ceil(4.0 * half)), 1))
+        # (patches, samples) points, rounded half to even like round()
+        r = np.rint((origins[idx, :1] + (h - 1) / 2.0) + s * dy[idx, None]).astype(np.intp)
+        c = np.rint((origins[idx, 1:] + (w - 1) / 2.0) + s * dx[idx, None]).astype(np.intp)
+        inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+        out[r[inside], c[inside]] = 1.0
     return out

@@ -1,0 +1,89 @@
+"""Golden-output manifest: digests of library results over a fixed matrix.
+
+The matrix is the five `standard_suite(96)` images, whole and cropped to
+45x38, 9x5, 2x2 and 1x90, under a text mask, a 0.5 random mask and an
+all-missing mask (whose placeholders are the image itself, so the run
+has something to diffuse). Each case runs `diffuse` with the diamond and
+the diagonal kernel and `inpaint_directional` with patch sizes 2, 7, 16
+and 200, capped at 300 iterations (60 under the all-missing mask, where
+most runs hit the cap). Each run records the SHA-256 of
+`.image.tobytes()`, `iterations`, `converged`, `final_delta` and, for the
+directional runs, the SHA-256 of the patch angles.
+
+`tests/test_golden.py` recomputes the matrix against `tests/golden.json`.
+Write the manifest with
+
+    PYTHONPATH=src python tests/make_golden.py
+
+only in a change that states why its outputs change and by how much
+(max abs pixel difference, MSE per image); never to make a failing
+change pass.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from inpaintkit.diffusion import DiffusionConfig, diffuse
+from inpaintkit.directional import inpaint_directional
+from inpaintkit.kernels import diag_kernel, diamond_kernel
+from inpaintkit.masks import apply_damage, random_mask, text_mask
+from inpaintkit.synth import standard_suite
+
+MANIFEST = Path(__file__).with_name("golden.json")
+CONFIG = DiffusionConfig(max_iters=300)
+CAPPED = DiffusionConfig(max_iters=60)
+CROPS = {"96x96": (96, 96), "45x38": (45, 38), "9x5": (9, 5), "2x2": (2, 2), "1x90": (1, 90)}
+PATCH_SIZES = (2, 7, 16, 200)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _cases(img):
+    """Yield (mask name, damaged, mask, config) for one image."""
+    rows, cols = img.shape
+    for name, mask in (("text", text_mask(rows, cols, "Lorem ipsum")), ("random", random_mask(rows, cols, 0.5, seed=7))):
+        yield name, apply_damage(img, mask), mask, CONFIG
+    # all-missing diffuses slowly from the image towards a constant; the low cap keeps the matrix fast
+    yield "missing", img, np.zeros((rows, cols), dtype=np.uint8), CAPPED
+
+
+def _record(result, angles=None) -> dict:
+    out = {
+        "image": _digest(result.image),
+        "iterations": int(result.iterations),
+        "converged": bool(result.converged),
+        "final_delta": float(result.final_delta),
+    }
+    if angles is not None:
+        out["angles"] = _digest(angles)
+    return out
+
+
+def golden_runs():
+    """Yield (run id, record) for every run of the matrix, in a fixed order."""
+    for name, full in standard_suite(96).items():
+        for crop, (rows, cols) in CROPS.items():
+            for mask_name, damaged, mask, config in _cases(full[:rows, :cols]):
+                case = f"{name}/{crop}/{mask_name}"
+                for kernel_name, kernel in (("diamond", diamond_kernel()), ("diag", diag_kernel())):
+                    yield f"{case}/diffuse-{kernel_name}", _record(diffuse(damaged, mask, kernel, config))
+                for n in PATCH_SIZES:
+                    res = inpaint_directional(damaged, mask, patch_size=n, config=config)
+                    yield f"{case}/directional-{n}", _record(res, res.grid.angles)
+
+
+def main() -> None:
+    runs = dict(golden_runs())
+    MANIFEST.write_text(json.dumps(runs, indent=1, sort_keys=False) + "\n")
+    print(f"wrote {len(runs)} runs to {MANIFEST}")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,8 @@ Nothing here shares code with the package. The iterative solver is
 checked against a dense linear solve of its fixed-point system and, bit
 for bit, against a plain per-patch loop; kernel rotation at right
 angles against plain array quarter turns, and at every angle against a
-separate polynomial-form bicubic evaluator.
+separate polynomial-form bicubic evaluator; the orientation overlay
+against a per-sample drawing loop.
 """
 
 from __future__ import annotations
@@ -151,3 +152,29 @@ def patch_loop(base, mask, patches, epsilon: float, max_iters: int):
         counts.append(iterations)
         deltas.append(delta)
     return out, counts, deltas
+
+
+def overlay_loop(img, patches) -> np.ndarray:
+    """Draw each patch's orientation segment one sample at a time.
+
+    patches is a sequence of (top, left, height, width, theta). The
+    segment passes through the patch centre at angle theta, with
+    4 * half samples evenly spaced over [-half, half], half = 0.4 times
+    the shorter side; each sample is rounded to the nearest pixel and
+    painted 1.0 when it lies inside the image.
+    """
+    out = np.array(img, dtype=np.float64)
+    rows, cols = out.shape
+    for top, left, height, width, theta in patches:
+        cy = top + (height - 1) / 2.0
+        cx = left + (width - 1) / 2.0
+        half = 0.4 * min(height, width)
+        t = np.radians(theta)
+        dx, dy = -np.sin(t), np.cos(t)
+        steps = max(int(np.ceil(4.0 * half)), 1)
+        for s in np.linspace(-half, half, steps):
+            r = int(round(cy + s * dy))
+            c = int(round(cx + s * dx))
+            if 0 <= r < rows and 0 <= c < cols:
+                out[r, c] = 1.0
+    return out

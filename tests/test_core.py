@@ -33,10 +33,14 @@ def test_as_image_rejects_wrong_rank_and_empty():
 def test_as_mask_accepts_binary_and_rejects_other_values():
     m = as_mask([[0, 1], [1, 0]])
     assert m.dtype == np.uint8
+    b = as_mask(np.array([[False, True], [True, False]]))
+    assert b.dtype == np.uint8 and np.array_equal(b, m)
     with pytest.raises(ValueError):
         as_mask([[0, 2], [1, 0]])
     with pytest.raises(ValueError):
         as_mask([[0.5, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        as_mask([[0.0, 1.0], [1.0, np.nan]])
 
 
 def test_require_same_shape():

@@ -83,6 +83,12 @@ def test_all_zero_image_needs_no_iterations():
     res = diffuse(img, mask, diamond_kernel())
     assert res.iterations == 0
     assert res.converged
+    # only pixels inside the image count: a corner at 0.8 epsilon stays
+    # below it, although replicate padding repeats the corner three times
+    img[0, 0] = 0.8e-3
+    res = diffuse(img, mask, diamond_kernel())
+    assert res.iterations == 0
+    assert res.final_delta == pytest.approx(0.8e-3, rel=1e-12)
 
 
 def test_endpoint_row_fills_to_linear_interpolation():

@@ -18,7 +18,7 @@ from inpaintkit.directionality import patch_metrics
 from inpaintkit.kernels import diag_kernel, diamond_kernel, rotate_kernel
 from inpaintkit.masks import apply_damage, random_mask
 
-from oracles import harmonic_fill, jacobi_loop, patch_loop
+from oracles import harmonic_fill, jacobi_loop, overlay_loop, patch_loop
 
 
 def _hstripes(n: int, period: int = 4) -> np.ndarray:
@@ -200,6 +200,21 @@ def test_overlay_draws_along_the_reported_angle():
     out = render_directionality_overlay(img, vert)
     assert out[:, 7].sum() > 8
     assert out[7, :].sum() <= 2
+
+
+def test_overlay_matches_the_per_sample_loop():
+    # 45x38 clips the last patch row and column for every size but 45;
+    # the angles cover (-90, 90], including 0, 45 and 90 exactly
+    rng = np.random.default_rng(23)
+    img = rng.uniform(size=(45, 38))
+    for n in (2, 7, 8, 16, 45):
+        coords = tuple(split_into_patches(45, 38, n))
+        exact = [0.0, 45.0, 90.0, -45.0, 89.999, -89.999, 30.0, -60.0]
+        angles = (exact + rng.uniform(-90.0, 90.0, size=len(coords)).tolist())[: len(coords)]
+        grid = PatchGrid(coords, angles, (diag_kernel(),) * len(coords))
+        for g in (grid, build_patch_grid(img, n)):
+            want = overlay_loop(img, [(pc.top, pc.left, pc.height, pc.width, a) for pc, a in zip(g.coords, g.angles)])
+            assert np.array_equal(render_directionality_overlay(img, g), want), (n, g is grid)
 
 
 def test_overlay_leaves_the_input_alone():
