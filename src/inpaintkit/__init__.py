@@ -6,7 +6,7 @@ per-patch orientation angle and re-diffuses each patch with a kernel
 rotated to match. Masks mark known pixels with 1 and missing ones with 0.
 """
 
-from .core import PatchCoords, mse, split_into_patches
+from .core import mse, split_into_patches
 from .diffusion import DiffusionConfig, DiffusionResult, diffuse
 from .directional import (
     DirectionalResult,
@@ -16,7 +16,7 @@ from .directional import (
     inpaint_directional,
     render_directionality_overlay,
 )
-from .directionality import PatchMetrics, patch_angles, patch_metrics, shift_diff
+from .directionality import patch_angles
 from .image_io import ImageFormatError, read_image, write_image
 from .kernels import diag_kernel, diamond_kernel, normalize, rotate_kernel
 from .masks import MaskSpec, apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
@@ -24,7 +24,6 @@ from .masks import MaskSpec, apply_damage, mask_from_image, mask_to_image, rando
 __version__ = "0.1.0"
 
 __all__ = [
-    "PatchCoords",
     "mse",
     "split_into_patches",
     "DiffusionConfig",
@@ -36,10 +35,7 @@ __all__ = [
     "diffuse_patches",
     "inpaint_directional",
     "render_directionality_overlay",
-    "PatchMetrics",
     "patch_angles",
-    "patch_metrics",
-    "shift_diff",
     "ImageFormatError",
     "read_image",
     "write_image",

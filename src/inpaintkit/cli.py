@@ -50,7 +50,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _at_least(low, cast):
-    """argparse type for --epsilon and --max-iters: cast, then reject values below low."""
+    """argparse type for a bounded option: cast, then reject values below low."""
 
     def parse(text):
         value = cast(text)
@@ -69,14 +69,14 @@ def build_parser() -> _Parser:
     p_in = sub.add_parser("inpaint", parents=[], help="reconstruct the missing pixels of one image")
     p_in.add_argument("--algo", choices=("diffusion", "directional"), required=True)
     p_in.add_argument("--kernel", choices=tuple(KERNELS), default=None, help="diffusion only (default diamond)")
-    p_in.add_argument("--patch", type=int, default=None, help="directional only: patch side length (default 16)")
+    p_in.add_argument("--patch", type=_at_least(2, int), default=None, help="directional only: patch side length (default 16)")
     p_in.add_argument("--in", dest="input", required=True, metavar="PATH")
     p_in.add_argument("--mask", required=True, metavar="PATH", help="image file; 0 = missing, nonzero = known")
     p_in.add_argument("--out", required=True, metavar="PATH")
     p_in.add_argument("--overlay", default=None, metavar="PATH", help="directional only: write an orientation overlay image")
     p_in.add_argument("--epsilon", type=_at_least(0, float), default=1e-3)
     p_in.add_argument("--max-iters", type=_at_least(1, int), default=10_000)
-    p_in.add_argument("--snapshot-every", type=int, default=None, metavar="K", help="write the iterate every K iterations")
+    p_in.add_argument("--snapshot-every", type=_at_least(1, int), default=None, metavar="K", help="write the iterate every K iterations")
     p_in.add_argument("--snapshot-dir", default=None, metavar="DIR")
     p_in.set_defaults(func=cmd_inpaint)
 
@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--random", type=float, default=None, metavar="FRACTION", help="missing pixel fraction in [0, 1]")
     p_gen.add_argument("--seed", type=int, default=42)
     p_gen.add_argument("--text", default=None)
-    p_gen.add_argument("--scale", type=int, default=1)
+    p_gen.add_argument("--scale", type=_at_least(1, int), default=1)
     p_gen.set_defaults(func=cmd_genmask)
 
     p_bench = sub.add_parser("bench", help="benchmark algorithms over an image directory")
@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--out", required=True, metavar="CSV")
     p_bench.add_argument("--algos", default=",".join(ALGORITHMS), help="comma list of algorithm ids")
     p_bench.add_argument("--text", default=None, help="add a text mask with this text")
-    p_bench.add_argument("--scale", type=int, default=2, help="text mask scale")
+    p_bench.add_argument("--scale", type=_at_least(1, int), default=2, help="text mask scale")
     p_bench.add_argument("--random-fractions", default=None, metavar="F1,F2,...", help="add random masks at these missing fractions")
     p_bench.add_argument("--seed", type=int, default=42)
     p_bench.add_argument("--aggregate-out", default=None, metavar="CSV", help="also write per-mask aggregate stats")
@@ -121,10 +121,6 @@ def cmd_inpaint(parser, args) -> int:
     else:
         if args.kernel is not None:
             return _usage_error(parser, "--kernel applies to --algo diffusion only")
-        if args.patch is not None and args.patch < 2:
-            return _usage_error(parser, f"--patch must be >= 2, got {args.patch}")
-    if args.snapshot_every is not None and args.snapshot_every < 1:
-        return _usage_error(parser, f"--snapshot-every must be >= 1, got {args.snapshot_every}")
     if (args.snapshot_every is None) != (args.snapshot_dir is None):
         return _usage_error(parser, "--snapshot-every and --snapshot-dir go together")
 
@@ -173,8 +169,6 @@ def cmd_genmask(parser, args) -> int:
             return _usage_error(parser, f"--random must be in [0, 1], got {args.random:g}")
         mask = random_mask(rows, cols, args.random, args.seed)
     else:
-        if args.scale < 1:
-            return _usage_error(parser, f"--scale must be >= 1, got {args.scale}")
         if not args.text:
             return _usage_error(parser, "--text must be non-empty")
         mask = text_mask(rows, cols, args.text, args.scale)
@@ -194,8 +188,6 @@ def cmd_bench(parser, args) -> int:
 
     specs = []
     if args.text is not None:
-        if args.scale < 1:
-            return _usage_error(parser, f"--scale must be >= 1, got {args.scale}")
         specs.append(MaskSpec(kind="text", text=args.text, scale=args.scale))
     if args.random_fractions is not None:
         try:

@@ -9,7 +9,6 @@ arrays.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,50 +52,26 @@ def mse(original, reconstructed) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-@dataclass(frozen=True)
-class PatchCoords:
-    """Location of one patch inside an image.
-
-    Patches are nominally n-by-n; the trailing row/column of patches is
-    clipped at the image boundary, so height and width are stored
-    explicitly.
-    """
-
-    top: int
-    left: int
-    height: int
-    width: int
-
-    @property
-    def row_slice(self) -> slice:
-        return slice(self.top, self.top + self.height)
-
-    @property
-    def col_slice(self) -> slice:
-        return slice(self.left, self.left + self.width)
-
-
-def split_into_patches(rows: int, cols: int, n: int) -> list[PatchCoords]:
+def split_into_patches(rows: int, cols: int, n: int) -> np.ndarray:
     """Tile an image of the given size into n-by-n patches, row-major.
 
-    Trailing patches are clipped to the image boundary, so every pixel
-    belongs to exactly one patch.
+    Returns a read-only (P, 4) intp array of (top, left, height, width)
+    rows. Trailing patches are clipped to the image boundary, so every
+    pixel belongs to exactly one patch.
     """
     n = as_int(n, "patch size")
     if n < 2:
         raise ValueError(f"patch size must be >= 2, got {n}")
     if rows < 1 or cols < 1:
         raise ValueError(f"image size must be positive, got {rows}x{cols}")
-    out = []
-    for top in range(0, rows, n):
-        for left in range(0, cols, n):
-            out.append(PatchCoords(top, left, min(n, rows - top), min(n, cols - left)))
-    return out
+    tops, lefts = np.meshgrid(np.arange(0, rows, n, dtype=np.intp), np.arange(0, cols, n, dtype=np.intp), indexing="ij")
+    coords = np.stack([tops, lefts, np.minimum(n, rows - tops), np.minimum(n, cols - lefts)], axis=-1).reshape(-1, 4)
+    coords.flags.writeable = False
+    return coords
 
 
-def group_by_shape(coords) -> dict[tuple[int, int], list[int]]:
-    """Indices of the patches of each (height, width), in first-seen order."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, pc in enumerate(coords):
-        groups.setdefault((pc.height, pc.width), []).append(i)
-    return groups
+def group_by_shape(coords: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Indices of the patches of each (height, width) of a (P, 4) coords array, in first-seen order."""
+    shapes, first, inverse = np.unique(coords[:, 2:], axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return {(int(shapes[g, 0]), int(shapes[g, 1])): np.flatnonzero(inverse == g) for g in np.argsort(first)}

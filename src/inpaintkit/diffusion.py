@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PatchCoords, as_image, as_int, as_mask, group_by_shape, require_same_shape
+from .core import as_image, as_int, as_mask, group_by_shape, require_same_shape
 from .kernels import normalize
 
 
@@ -67,7 +67,7 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
     damaged = as_image(damaged)
     on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0].copy()))
     image, iterations, deltas, converged = _solve_windows(
-        damaged, mask, [PatchCoords(0, 0, *damaged.shape)], [kernel], config, on_step
+        damaged, mask, np.array([[0, 0, *damaged.shape]]), [kernel], config, on_step
     )
     return DiffusionResult(image, int(iterations[0]), float(deltas[0]), bool(converged[0]))
 
@@ -75,6 +75,7 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
 def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None):
     """Masked Jacobi on regions of an image, one 3x3 kernel per region.
 
+    coords is a (P, 4) array of (top, left, height, width) rows.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
     The stack is one gather from the zero-padded image, so a window's
@@ -83,9 +84,13 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     the missing cells only: they are held as flat stack indices in
     window-major order, so each tap is a gather at a constant offset,
     their current values are kept beside the stack as one vector, and
-    the per-window deltas are segment sums over each window's cells.
-    Each window stops on its own threshold or cap, and its cells are
-    then dropped from the step. on_step(counts, interiors), if given, is
+    the per-window deltas are segment sums over each window's run of
+    cells. Per window only its cell count is kept, not a per-cell window
+    id: a per-window weight or running flag is repeated by the counts
+    where a per-cell one is needed, and the segment starts are the
+    counts' running sums, recomputed only when windows drop out. Each
+    window stops on its own threshold or cap, and its cells are then
+    dropped from the step. on_step(counts, interiors), if given, is
     called after every step. Returns the image with every interior
     written back in one assignment, and per region the iterations, final
     deltas and converged flags.
@@ -108,10 +113,9 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     out = image.copy()
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
-    origins = np.array([(pc.top, pc.left) for pc in coords])
     for (h, w), idx in group_by_shape(coords).items():
         stride = w + 2
-        tops, lefts = origins[idx].T
+        tops, lefts = coords[idx, :2].T
         # window (t, l) of the zero-padded image is the region at (t, l) inside
         # its ring; ghost cells hold 0 until the first step refreshes them, so
         # the first delta counts the cells inside the image only
@@ -127,10 +131,13 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         # the missing cells of running windows, as flat indices shifted back by
         # the (0, 0) tap's offset: tap (r, c) gathers flat[r * stride + c:][cells]
         cells = np.flatnonzero(free & running[:, None, None])
-        del free
-        wid = cells // win[0].size
         cells -= stride + 1
-        starts, owners = _segments(wid)
+        # the running windows with missing cells, in stack order, and their cell counts
+        sizes = np.count_nonzero(free, axis=(1, 2))
+        del free
+        owners = np.flatnonzero(running & (sizes > 0))
+        sizes = sizes[owners]
+        starts = np.cumsum(sizes) - sizes
         # row-major taps, the order the sum is accumulated in; a tap is skipped
         # when it is zero in every kernel and is a scalar when they all agree
         taps = []
@@ -144,7 +151,6 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         inner = win[:, 1:-1, 1:-1]
         acc, x, tmp = np.empty((3, len(cells)))
         np.take(centre, cells, out=x)  # the cells' current values
-        cell_weight = np.empty(len(cells)) if any(np.ndim(weight) for _, weight in taps) else None
         while running.any():
             # ghost sides copy the interior edge; full-length copies also fill the corners
             win[ghost_top, 0] = win[ghost_top, 1]
@@ -156,7 +162,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
             for j, (shift, weight) in enumerate(taps):
                 term = tmp[:m] if j else acc[:m]
                 np.take(flat[shift:], cells, out=term, mode="clip")
-                term *= np.take(weight, wid, out=cell_weight[:m], mode="clip") if np.ndim(weight) else weight
+                term *= np.repeat(weight[owners], sizes) if np.ndim(weight) else weight
                 if j:
                     acc[:m] += term
             step = np.subtract(acc[:m], x[:m], out=tmp[:m])
@@ -171,17 +177,14 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
             stopped = running & ~((delta > cfg.epsilon) & (count < cfg.max_iters))
             if stopped.any():
                 running &= ~stopped
-                keep = running[wid]
-                cells, wid = cells[keep], wid[keep]
+                alive = running[owners]
+                keep = np.repeat(alive, sizes)
+                cells = cells[keep]
                 x[: len(cells)] = x[:m][keep]
-                starts, owners = _segments(wid)
+                owners, sizes = owners[alive], sizes[alive]
+                starts = np.cumsum(sizes) - sizes
         deltas[idx], iterations[idx] = delta, count
         # window (t, l) of out is the region at (t, l) itself
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner
     return out, iterations, deltas, deltas <= cfg.epsilon
 
-
-def _segments(wid):
-    """Start of each run of equal window ids in a sorted array, and its id."""
-    starts = np.flatnonzero(np.diff(wid, prepend=-1))
-    return starts, wid[starts]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import as_image, as_int, group_by_shape, split_into_patches
 from .diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
@@ -21,18 +22,23 @@ from .directionality import patch_angles
 from .kernels import diamond_kernel, rotate_kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatchGrid:
-    """Patch layout with one angle and one kernel per patch."""
+    """Patch layout with one angle and one kernel per patch.
 
-    coords: tuple
-    angles: tuple
-    kernels: tuple
+    Read-only arrays: coords (P, 4) rows of (top, left, height, width),
+    angles (P,) in degrees and kernels (P, 3, 3).
+    """
+
+    coords: np.ndarray
+    angles: np.ndarray
+    kernels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "angles", tuple(self.angles))
-        object.__setattr__(self, "kernels", tuple(self.kernels))
+        for name, dtype in (("coords", np.intp), ("angles", np.float64), ("kernels", np.float64)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if not (len(self.coords) == len(self.angles) == len(self.kernels)):
             raise ValueError(
                 "coords, angles and kernels must have equal length, got "
@@ -58,9 +64,9 @@ def build_patch_grid(image, patch_size: int) -> PatchGrid:
     img = as_image(image)
     coords = split_into_patches(img.shape[0], img.shape[1], patch_size)
     angles = np.empty(len(coords))
-    for idx in group_by_shape(coords).values():
-        angles[idx] = patch_angles(np.stack([img[coords[i].row_slice, coords[i].col_slice] for i in idx]))
-    return PatchGrid(tuple(coords), tuple(angles.tolist()), tuple(rotate_kernel(angles)))
+    for (h, w), idx in group_by_shape(coords).items():
+        angles[idx] = patch_angles(sliding_window_view(img, (h, w))[coords[idx, 0], coords[idx, 1]])
+    return PatchGrid(coords, angles, rotate_kernel(angles))
 
 
 def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None = None) -> DiffusionResult:
@@ -119,13 +125,13 @@ def render_directionality_overlay(img, grid: PatchGrid) -> np.ndarray:
     rows, cols = out.shape
     t = np.radians(grid.angles)
     dx, dy = -np.sin(t), np.cos(t)
-    origins = np.array([(pc.top, pc.left) for pc in grid.coords])
     for (h, w), idx in group_by_shape(grid.coords).items():
+        origins = grid.coords[idx, :2]
         half = 0.4 * min(h, w)
         s = np.linspace(-half, half, max(int(np.ceil(4.0 * half)), 1))
         # (patches, samples) points, rounded half to even like round()
-        r = np.rint((origins[idx, :1] + (h - 1) / 2.0) + s * dy[idx, None]).astype(np.intp)
-        c = np.rint((origins[idx, 1:] + (w - 1) / 2.0) + s * dx[idx, None]).astype(np.intp)
+        r = np.rint((origins[:, :1] + (h - 1) / 2.0) + s * dy[idx, None]).astype(np.intp)
+        c = np.rint((origins[:, 1:] + (w - 1) / 2.0) + s * dx[idx, None]).astype(np.intp)
         inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
         out[r[inside], c[inside]] = 1.0
     return out

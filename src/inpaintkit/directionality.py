@@ -9,35 +9,18 @@ separates the two slants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .core import as_image
 
 D_THRESHOLD = 0.6
 
 
-@dataclass(frozen=True)
-class PatchMetrics:
-    v: float
-    h: float
-    d: float
-    theta1: float
-    theta: float
+def patch_angles(stack) -> np.ndarray:
+    """The dominant orientation angle of every patch of a (P, H, W) stack, in degrees.
 
-
-def shift_diff(patch, dx: int, dy: int) -> float:
-    """Sum of |P(r, c) - P((r + dy) mod H, (c + dx) mod W)| over the patch.
-
-    dx shifts columns, dy shifts rows; both wrap circularly.
-    """
-    return float(_shift_sums(as_image(patch)[None], dx, dy)[0])
-
-
-def patch_metrics(patch) -> PatchMetrics:
-    """Estimate the dominant orientation angle of a patch, in degrees.
-
+    With the circular shift sums v = sum |P(r, c) - P(r, c + 1)|,
+    h = sum |P(r, c) - P(r + 1, c)| and diag = sum |P(r, c) - P(r + 1, c + 1)|,
+    theta1 = 90 (h + 1) / (h + v + 1) and d = (1 + diag) / (1 + v + h);
+    theta = -90 + 90 d + theta1 when d > D_THRESHOLD, else -theta1.
     theta lands in (-90, 90]. A constant patch has v = h = 0 and comes out
     at theta = 90 by construction; it is not special-cased because the
     rotated kernel stays a valid averaging kernel for any angle.
@@ -50,25 +33,15 @@ def patch_metrics(patch) -> PatchMetrics:
       * zero-diagonal patch, the unit checkerboard: v = h = s, diag = 0,
         so d < 0.6 and theta = -theta1.
     """
-    return PatchMetrics(*(float(x[0]) for x in _metrics(as_image(patch)[None])))
+    stack = np.asarray(stack, dtype=np.float64)
 
+    def shift_sums(dx: int, dy: int) -> np.ndarray:
+        shifted = np.roll(stack, shift=(-dy, -dx), axis=(1, 2))
+        return np.abs(stack - shifted).reshape(len(stack), -1).sum(axis=1)
 
-def patch_angles(stack) -> np.ndarray:
-    """The patch_metrics angle of every patch of a (P, H, W) stack, in one pass."""
-    return _metrics(np.asarray(stack, dtype=np.float64))[-1]
-
-
-def _shift_sums(stack: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """shift_diff of every patch of a (P, H, W) stack."""
-    shifted = np.roll(stack, shift=(-dy, -dx), axis=(1, 2))
-    return np.abs(stack - shifted).reshape(len(stack), -1).sum(axis=1)
-
-
-def _metrics(stack: np.ndarray):
-    """(v, h, d, theta1, theta) of every patch of a (P, H, W) stack."""
-    v = _shift_sums(stack, 1, 0)
-    h = _shift_sums(stack, 0, 1)
-    diag = _shift_sums(stack, 1, 1)
+    v = shift_sums(1, 0)
+    h = shift_sums(0, 1)
+    diag = shift_sums(1, 1)
     theta1 = 90.0 * (h + 1.0) / (h + v + 1.0)
     d = (1.0 + diag) / (1.0 + v + h)
     theta = np.where(d > D_THRESHOLD, -90.0 + (90.0 * d + theta1), -90.0 + (90.0 - theta1))
@@ -76,5 +49,4 @@ def _metrics(stack: np.ndarray):
     # in (0, 90] and d in (0, 1] (diag <= v + h), so theta starts in
     # [-90, 90] up to rounding and one turn either way is enough
     theta = np.where(theta > 90.0, theta - 180.0, theta)
-    theta = np.where(theta <= -90.0, theta + 180.0, theta)
-    return v, h, d, theta1, theta
+    return np.where(theta <= -90.0, theta + 180.0, theta)

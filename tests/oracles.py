@@ -4,7 +4,8 @@ Nothing here shares code with the package. The iterative solver is
 checked against a dense linear solve of its fixed-point system and, bit
 for bit, against a plain per-patch loop; kernel rotation at right
 angles against plain array quarter turns, and at every angle against a
-separate polynomial-form bicubic evaluator; the orientation overlay
+separate polynomial-form bicubic evaluator; the orientation angle
+against the one-patch formula in plain floats; the orientation overlay
 against a per-sample drawing loop.
 """
 
@@ -95,6 +96,34 @@ def rotate_kernel_direct(theta_deg: float) -> np.ndarray:
             x, y = c - 1.0, r - 1.0
             out[r, c] = max(bicubic_direct(diag, 1.0 + x * cos_a - y * sin_a, 1.0 + x * sin_a + y * cos_a), 0.0)
     return out / out.sum()
+
+
+def shift_diff_direct(patch, dx: int, dy: int) -> float:
+    """Sum of |P(r, c) - P((r + dy) mod H, (c + dx) mod W)| over the patch, by modular indexing."""
+    p = np.asarray(patch, dtype=np.float64)
+    r, c = np.indices(p.shape)
+    return float(np.sum(np.abs(p - p[(r + dy) % p.shape[0], (c + dx) % p.shape[1]])))
+
+
+def orientation_direct(patch):
+    """(v, h, d, theta1, theta) of one patch, the orientation formula in Python floats.
+
+    v, h and diag are the column, row and diagonal shift differences;
+    theta1 = 90 (h + 1) / (h + v + 1), d = (1 + diag) / (1 + v + h), and
+    theta = -90 + 90 d + theta1 when d > 0.6, else -90 + 90 - theta1,
+    reduced into (-90, 90].
+    """
+    v = shift_diff_direct(patch, 1, 0)
+    h = shift_diff_direct(patch, 0, 1)
+    diag = shift_diff_direct(patch, 1, 1)
+    theta1 = 90.0 * (h + 1.0) / (h + v + 1.0)
+    d = (1.0 + diag) / (1.0 + v + h)
+    theta = -90.0 + (90.0 * d + theta1) if d > 0.6 else -90.0 + (90.0 - theta1)
+    if theta > 90.0:
+        theta -= 180.0
+    elif theta <= -90.0:
+        theta += 180.0
+    return v, h, d, theta1, theta
 
 
 def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):

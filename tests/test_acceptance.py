@@ -18,13 +18,13 @@ from inpaintkit.bench import ALGORITHMS, run_algorithm
 from inpaintkit.core import mse
 from inpaintkit.diffusion import DiffusionConfig, diffuse
 from inpaintkit.directional import PatchGrid, build_patch_grid, diffuse_patches, inpaint_directional
-from inpaintkit.directionality import patch_metrics
+from inpaintkit.directionality import patch_angles
 from inpaintkit.image_io import read_image, write_image
 from inpaintkit.kernels import diag_kernel, diamond_kernel, rotate_kernel
 from inpaintkit.masks import apply_damage, mask_to_image, random_mask, text_mask
 from inpaintkit.synth import standard_suite
 
-from oracles import harmonic_fill, quarter_turn
+from oracles import harmonic_fill, orientation_direct, quarter_turn
 
 SIZE = 512
 TEXT = "Lorem ipsum dolor sit amet"
@@ -174,7 +174,7 @@ def test_stripe_orientation_pipeline():
     vertical = horizontal.T
 
     def dominant_cells(patch):
-        theta = patch_metrics(patch).theta
+        theta = patch_angles(patch[None])[0]
         kernel = rotate_kernel(theta)
         flat = np.argsort(kernel.ravel())[-2:]
         return theta, {(int(t) // 3, int(t) % 3) for t in flat}
@@ -200,18 +200,18 @@ def test_orientation_formula_fidelity():
     i, j = np.indices((16, 16))
 
     constant = np.full((16, 16), 0.37)
-    err_constant = abs(patch_metrics(constant).theta - 90.0)
+    err_constant = abs(patch_angles(constant[None])[0] - 90.0)
 
     # bands of width 2 across the anti-diagonal: v = h = s, diag = 2s
     equal_structure = (((i + j) % 4) < 2).astype(np.float64)
-    m = patch_metrics(equal_structure)
-    s = m.v
+    s, _, _, theta1, _ = orientation_direct(equal_structure)
+    theta = patch_angles(equal_structure[None])[0]
     expected = 90.0 * (s + 1.0) / (2.0 * s + 1.0)
-    err_equal = max(abs(m.theta - expected), abs(m.theta - m.theta1))
+    err_equal = max(abs(theta - expected), abs(theta - theta1))
 
     checker = ((i + j) % 2).astype(np.float64)
-    mc = patch_metrics(checker)
-    err_checker = abs(mc.theta - (-mc.theta1))
+    theta1_checker = orientation_direct(checker)[3]
+    err_checker = abs(patch_angles(checker[None])[0] - (-theta1_checker))
 
     worst = max(err_constant, err_equal, err_checker)
     _report(
@@ -239,11 +239,7 @@ def test_fixed_point_and_determinism():
 
     grid = build_patch_grid(dir_a.estimate.image, 16)
     order = rng.permutation(len(grid))
-    shuffled = PatchGrid(
-        tuple(grid.coords[k] for k in order),
-        tuple(grid.angles[k] for k in order),
-        tuple(grid.kernels[k] for k in order),
-    )
+    shuffled = PatchGrid(grid.coords[order], grid.angles[order], grid.kernels[order])
     out_fwd = diffuse_patches(dir_a.estimate.image, mask, grid, cfg)
     out_shuf = diffuse_patches(dir_a.estimate.image, mask, shuffled, cfg)
 

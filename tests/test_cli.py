@@ -140,7 +140,7 @@ def test_inpaint_warns_when_max_iters_stops_it(workspace, capsys, algo):
     assert capsys.readouterr().err == ""
 
 
-def test_usage_errors_exit_1(workspace):
+def test_usage_errors_exit_1(workspace, capsys):
     tmp_path, image_path, mask_path, _ = workspace
     out = str(tmp_path / "o.pgm")
     base = ["inpaint", "--in", str(image_path), "--mask", str(mask_path), "--out", out]
@@ -156,6 +156,11 @@ def test_usage_errors_exit_1(workspace):
     # snapshot flags must come as a pair
     assert main(base + ["--algo", "diffusion", "--snapshot-every", "5"]) == EXIT_USAGE
     assert main(base + ["--algo", "diffusion", "--epsilon", "-1"]) == EXIT_USAGE
+    # out-of-range settings are usage errors that name the flag and its value
+    capsys.readouterr()
+    for flag, value, bound in (("--patch", "1", "2"), ("--snapshot-every", "0", "1")):
+        assert main(base + ["--algo", "directional", flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
 
 
 def test_io_errors_exit_2(workspace, tmp_path):
@@ -197,13 +202,16 @@ def test_genmask_text_matches_library(tmp_path):
     assert np.array_equal(mask > 0, text_mask(64, 64, "Hi", scale=2) == 1)
 
 
-def test_genmask_usage_errors(tmp_path):
+def test_genmask_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "m.pgm")
     assert main(["genmask", "--size", "32x32", "--out", out]) == EXIT_USAGE
     assert main(["genmask", "--size", "32x32", "--out", out, "--random", "0.2", "--text", "x"]) == EXIT_USAGE
     assert main(["genmask", "--size", "32", "--out", out, "--random", "0.2"]) == EXIT_USAGE
     assert main(["genmask", "--size", "32x32", "--out", out, "--random", "1.5"]) == EXIT_USAGE
-    assert main(["genmask", "--size", "32x32", "--out", out, "--text", "x", "--scale", "0"]) == EXIT_USAGE
+    capsys.readouterr()
+    for flag, value, bound in (("--scale", "0", "1"), ("--scale", "-3", "1")):
+        assert main(["genmask", "--size", "32x32", "--out", out, "--text", "x", flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
 
 
 def test_bench_end_to_end(tmp_path, capsys):
@@ -268,7 +276,7 @@ def test_bench_usage_and_io_errors(tmp_path, capsys):
     # out-of-range settings are usage errors that name the flag and its value
     capsys.readouterr()
     base = ["bench", "--images", str(img_dir), "--out", csv_path, "--text", "x"]
-    for flag, value, bound in (("--epsilon", "-0.5", "0"), ("--epsilon", "nan", "0"), ("--max-iters", "0", "1")):
+    for flag, value, bound in (("--epsilon", "-0.5", "0"), ("--epsilon", "nan", "0"), ("--max-iters", "0", "1"), ("--scale", "0", "1")):
         assert main(base + [flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
     # an empty image directory is an I/O error

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from inpaintkit.core import (
-    PatchCoords,
     as_image,
     as_mask,
     mse,
+    group_by_shape,
     require_same_shape,
     split_into_patches,
 )
@@ -63,24 +63,20 @@ def test_mse_shape_mismatch():
         mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
-def test_patch_coords_slices():
-    pc = PatchCoords(top=4, left=0, height=1, width=4)
-    assert pc.row_slice == slice(4, 5)
-    assert pc.col_slice == slice(0, 4)
-
-
 def test_split_512_into_16_gives_1024_full_patches():
     patches = split_into_patches(512, 512, 16)
-    assert len(patches) == 1024
-    assert all(pc.height == 16 and pc.width == 16 for pc in patches)
+    assert patches.shape == (1024, 4)
+    assert np.all(patches[:, 2:] == 16)
     # row-major: the second patch sits to the right of the first
-    assert (patches[0].top, patches[0].left) == (0, 0)
-    assert (patches[1].top, patches[1].left) == (0, 16)
+    assert patches[0, :2].tolist() == [0, 0]
+    assert patches[1, :2].tolist() == [0, 16]
 
 
 def test_split_clips_trailing_patches():
     patches = split_into_patches(5, 4, 4)
-    assert patches == [PatchCoords(0, 0, 4, 4), PatchCoords(4, 0, 1, 4)]
+    assert patches.tolist() == [[0, 0, 4, 4], [4, 0, 1, 4]]
+    assert patches.dtype == np.intp
+    assert not patches.flags.writeable
 
 
 def test_split_covers_every_pixel_exactly_once():
@@ -90,8 +86,8 @@ def test_split_covers_every_pixel_exactly_once():
         cols = int(rng.integers(2, 40))
         n = int(rng.integers(2, 12))
         counter = np.zeros((rows, cols), dtype=int)
-        for pc in split_into_patches(rows, cols, n):
-            counter[pc.row_slice, pc.col_slice] += 1
+        for top, left, height, width in split_into_patches(rows, cols, n):
+            counter[top : top + height, left : left + width] += 1
         assert np.array_equal(counter, np.ones((rows, cols), dtype=int))
 
 
@@ -100,3 +96,19 @@ def test_split_rejects_tiny_patch_size():
         split_into_patches(8, 8, 1)
     with pytest.raises(ValueError):
         split_into_patches(0, 8, 4)
+
+
+def test_group_by_shape_keeps_first_seen_order():
+    # 5x6 with patch 4: full, clipped right, clipped bottom, clipped corner
+    coords = split_into_patches(5, 6, 4)
+    groups = group_by_shape(coords)
+    assert [(shape, idx.tolist()) for shape, idx in groups.items()] == [
+        ((4, 4), [0]),
+        ((4, 2), [1]),
+        ((1, 4), [2]),
+        ((1, 2), [3]),
+    ]
+    reversed_groups = group_by_shape(coords[::-1])
+    assert list(reversed_groups) == [(1, 2), (1, 4), (4, 2), (4, 4)]
+    (shape, idx), = group_by_shape(split_into_patches(8, 8, 4)).items()
+    assert shape == (4, 4) and idx.tolist() == [0, 1, 2, 3]

@@ -221,7 +221,7 @@ def test_bad_kernel_weight_raises(weight):
     with pytest.raises(ValueError, match="1 negative or non-finite weight"):
         diffuse(damaged, mask, bad, DiffusionConfig(max_iters=50))
     grid = build_patch_grid(damaged, 8)
-    kernels = list(grid.kernels)
+    kernels = grid.kernels.copy()
     kernels[4] = bad
     with pytest.raises(ValueError, match="1 negative or non-finite weight"):
         diffuse_patches(damaged, mask, PatchGrid(grid.coords, grid.angles, kernels))
@@ -233,7 +233,7 @@ def test_bad_kernel_weight_raises(weight):
     ids=["diffuse", "diffuse_patches"],
 )
 def test_traced_peak_stays_within_eight_images(run):
-    # the engine's per-cell state (indices, window ids, two sums) is a few
+    # the engine's per-cell state (indices, values, two sums) is a few
     # words per missing pixel; a per-tap index or weight table is not
     rng = np.random.default_rng(11)
     mask = random_mask(256, 256, 0.5, seed=13)

@@ -14,11 +14,11 @@ from inpaintkit.directional import (
     inpaint_directional,
     render_directionality_overlay,
 )
-from inpaintkit.directionality import patch_metrics
+from inpaintkit.directionality import patch_angles
 from inpaintkit.kernels import diag_kernel, diamond_kernel, rotate_kernel
 from inpaintkit.masks import apply_damage, random_mask
 
-from oracles import harmonic_fill, jacobi_loop, overlay_loop, patch_loop
+from oracles import harmonic_fill, jacobi_loop, orientation_direct, overlay_loop, patch_loop
 
 
 def _hstripes(n: int, period: int = 4) -> np.ndarray:
@@ -46,9 +46,19 @@ def test_grid_counts_and_kernel_validity():
 
 
 def test_grid_length_mismatch_rejected():
-    coords = tuple(split_into_patches(8, 8, 4))
+    coords = split_into_patches(8, 8, 4)
     with pytest.raises(ValueError):
         PatchGrid(coords, (0.0,), (diamond_kernel(),) * len(coords))
+    # lists and tuples still build a grid, held as read-only arrays of its own
+    angles = [0.0] * len(coords)
+    grid = PatchGrid(coords.tolist(), angles, (diamond_kernel(),) * len(coords))
+    assert grid.coords.shape == (4, 4) and grid.angles.shape == (4,) and grid.kernels.shape == (4, 3, 3)
+    for field in (grid.coords, grid.angles, grid.kernels):
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0] = 0
+    angles[0] = 45.0
+    assert grid.angles[0] == 0.0
 
 
 def test_directional_beats_diamond_on_stripes():
@@ -70,8 +80,8 @@ def test_forced_diagonal_grid_matches_whole_image_run():
     damaged = apply_damage(img, mask)
     cfg = DiffusionConfig(epsilon=1e-10, max_iters=100_000)
 
-    coords = tuple(split_into_patches(20, 20, 10))
-    grid = PatchGrid(coords, (-45.0,) * len(coords), tuple(rotate_kernel(-45.0) for _ in coords))
+    coords = split_into_patches(20, 20, 10)
+    grid = PatchGrid(coords, (-45.0,) * len(coords), (rotate_kernel(-45.0),) * len(coords))
     patched = diffuse_patches(damaged, mask, grid, cfg)
     whole = diffuse(damaged, mask, diag_kernel(), cfg)
     oracle = harmonic_fill(damaged, mask, diag_kernel())
@@ -89,14 +99,17 @@ def test_stacked_engine_matches_the_reference_patch_loop():
     cfg = DiffusionConfig(max_iters=300)
     estimate, _, _ = jacobi_loop(damaged, mask, diamond_kernel(), cfg.epsilon, cfg.max_iters)
     grid = build_patch_grid(estimate, 8)
-    patches = [(pc.top, pc.left, pc.height, pc.width, k) for pc, k in zip(grid.coords, grid.kernels)]
+    patches = [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)]
     ref, counts, deltas = patch_loop(estimate, mask, patches, cfg.epsilon, cfg.max_iters)
 
     res = diffuse_patches(estimate, mask, grid, cfg)
     assert np.array_equal(res.image, ref)
     assert res.iterations == sum(counts)
     assert res.final_delta == pytest.approx(max(deltas), rel=1e-12, abs=0.0)
-    singles = [diffuse_patches(estimate, mask, PatchGrid((pc,), (a,), (k,)), cfg) for pc, a, k in zip(grid.coords, grid.angles, grid.kernels)]
+    singles = [
+        diffuse_patches(estimate, mask, PatchGrid(grid.coords[i : i + 1], grid.angles[i : i + 1], grid.kernels[i : i + 1]), cfg)
+        for i in range(len(grid))
+    ]
     assert [r.iterations for r in singles] == counts
     assert len(set(counts)) > 1
     whole = inpaint_directional(damaged, mask, 8, cfg)
@@ -144,11 +157,7 @@ def test_patch_order_does_not_change_the_result():
     grid = build_patch_grid(base.image, 8)
 
     order = rng.permutation(len(grid))
-    shuffled = PatchGrid(
-        tuple(grid.coords[i] for i in order),
-        tuple(grid.angles[i] for i in order),
-        tuple(grid.kernels[i] for i in order),
-    )
+    shuffled = PatchGrid(grid.coords[order], grid.angles[order], grid.kernels[order])
     out_a = diffuse_patches(base.image, mask, grid)
     out_b = diffuse_patches(base.image, mask, shuffled)
     assert np.array_equal(out_a.image, out_b.image)
@@ -188,7 +197,7 @@ def test_clipped_patches_are_still_processed():
 def test_overlay_draws_along_the_reported_angle():
     # odd patch side keeps the segment centre on an exact pixel
     img = np.zeros((15, 15))
-    coords = tuple(split_into_patches(15, 15, 15))
+    coords = split_into_patches(15, 15, 15)
 
     horiz = PatchGrid(coords, (90.0,), (diag_kernel(),))
     out = render_directionality_overlay(img, horiz)
@@ -208,12 +217,12 @@ def test_overlay_matches_the_per_sample_loop():
     rng = np.random.default_rng(23)
     img = rng.uniform(size=(45, 38))
     for n in (2, 7, 8, 16, 45):
-        coords = tuple(split_into_patches(45, 38, n))
+        coords = split_into_patches(45, 38, n)
         exact = [0.0, 45.0, 90.0, -45.0, 89.999, -89.999, 30.0, -60.0]
         angles = (exact + rng.uniform(-90.0, 90.0, size=len(coords)).tolist())[: len(coords)]
         grid = PatchGrid(coords, angles, (diag_kernel(),) * len(coords))
         for g in (grid, build_patch_grid(img, n)):
-            want = overlay_loop(img, [(pc.top, pc.left, pc.height, pc.width, a) for pc, a in zip(g.coords, g.angles)])
+            want = overlay_loop(img, [(*pc, a) for pc, a in zip(g.coords, g.angles)])
             assert np.array_equal(render_directionality_overlay(img, g), want), (n, g is grid)
 
 
@@ -244,4 +253,6 @@ def test_stacked_angles_match_per_patch_metrics():
     for img in (rng.uniform(size=(45, 38)), np.round(rng.uniform(size=(45, 38)) * 3) / 3):
         for n in (2, 7, 8, 45):
             grid = build_patch_grid(img, n)
-            assert grid.angles == tuple(patch_metrics(img[pc.row_slice, pc.col_slice]).theta for pc in grid.coords)
+            patches = [img[t : t + h, l : l + w] for t, l, h, w in grid.coords]
+            assert grid.angles.tolist() == [orientation_direct(p)[-1] for p in patches]
+            assert grid.angles.tolist() == [patch_angles(p[None])[0] for p in patches]

@@ -73,7 +73,7 @@ def test_diffuse_patches_matches_reference_loop(case, patch_size, data):
     kernels = data.draw(st.lists(KERNELS, min_size=len(coords), max_size=len(coords)))
     grid = PatchGrid(coords, [0.0] * len(coords), kernels)
     res = diffuse_patches(image, mask, grid, cfg)
-    patches = [(pc.top, pc.left, pc.height, pc.width, k) for pc, k in zip(coords, kernels)]
+    patches = [(*pc, k) for pc, k in zip(coords, kernels)]
     ref, counts, deltas = patch_loop(image, mask, patches, cfg.epsilon, cfg.max_iters)
     assert np.array_equal(res.image, ref)
     assert res.iterations == sum(counts)
@@ -82,5 +82,6 @@ def test_diffuse_patches_matches_reference_loop(case, patch_size, data):
     assert res.final_delta == pytest.approx(max(deltas), rel=1e-12, abs=0.0)
     assert np.array_equal(res.image[mask == 1], image[mask == 1])
     # per-patch counts, one patch per grid
-    for pc, kernel, count in zip(coords, kernels, counts):
-        assert diffuse_patches(image, mask, PatchGrid((pc,), (0.0,), (kernel,)), cfg).iterations == count
+    for i, count in enumerate(counts):
+        one = PatchGrid(grid.coords[i : i + 1], grid.angles[i : i + 1], grid.kernels[i : i + 1])
+        assert diffuse_patches(image, mask, one, cfg).iterations == count

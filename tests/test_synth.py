@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from inpaintkit.directionality import patch_metrics
+from inpaintkit.directionality import patch_angles
 from inpaintkit.synth import blobs, compose, gradient, rings, standard_suite, stripes, woven_stripes
 
 
@@ -28,7 +28,7 @@ def test_compose_clips_to_unit_range():
 
 def test_stripe_orientation_is_detectable():
     horizontal = stripes(16, period=4.0, angle_deg=0.0, amplitude=1.0, hardness=1.0 - 1e-9)
-    assert abs(patch_metrics(horizontal).theta - 90.0) < 5.0
+    assert abs(patch_angles(horizontal[None])[0] - 90.0) < 5.0
 
 
 def test_standard_suite_contents():
