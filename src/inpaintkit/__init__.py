@@ -19,7 +19,7 @@ from .directional import (
 from .directionality import patch_angles
 from .image_io import ImageFormatError, read_image, write_image
 from .kernels import diag_kernel, diamond_kernel, normalize, rotate_kernel
-from .masks import MaskSpec, apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
+from .masks import apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "diamond_kernel",
     "normalize",
     "rotate_kernel",
-    "MaskSpec",
     "apply_damage",
     "mask_from_image",
     "mask_to_image",

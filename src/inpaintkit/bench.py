@@ -8,7 +8,7 @@ algorithm call only, never file I/O or mask construction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,6 @@ ALGORITHMS = {
     "directional-16": lambda damaged, mask, config: inpaint_directional(damaged, mask, 16, config),
     "directional-32": lambda damaged, mask, config: inpaint_directional(damaged, mask, 32, config),
 }
-
-CSV_HEADER = "image_id,mask_id,algorithm,mse,iterations,wall_seconds,converged"
-AGGREGATE_HEADER = "mask_id,algorithm,n_images,mse_mean,mse_std,wall_mean,wall_std"
 
 
 @dataclass(frozen=True)
@@ -57,12 +54,13 @@ def run_algorithm(name: str, damaged, mask, config: DiffusionConfig | None = Non
     return res.image, res.iterations, res.converged
 
 
-def run_bench(images, specs, algorithms=ALGORITHMS, config: DiffusionConfig | None = None, progress=None) -> list[BenchRecord]:
+def run_bench(images, masks, algorithms=ALGORITHMS, config: DiffusionConfig | None = None, progress=None) -> list[BenchRecord]:
     """Benchmark every image x mask x algorithm combination.
 
     Args:
         images: mapping of image_id -> image; runs in sorted id order.
-        specs: MaskSpec list, kept in the given order.
+        masks: mapping of mask_id -> builder(rows, cols) -> mask, kept in
+            the given order.
         algorithms: algorithm ids, kept in the given order.
         config: diffusion settings shared by all runs.
         progress: optional hook called with each finished BenchRecord.
@@ -77,33 +75,18 @@ def run_bench(images, specs, algorithms=ALGORITHMS, config: DiffusionConfig | No
     records = []
     for image_id in sorted(images):
         original = as_image(images[image_id])
-        for spec in specs:
-            mask = spec.build(original.shape[0], original.shape[1])
+        for mask_id, build in masks.items():
+            mask = build(*original.shape)
             damaged = apply_damage(original, mask)
             for name in algorithms:
                 start = time.perf_counter()
                 restored, iterations, converged = run_algorithm(name, damaged, mask, config)
                 wall = time.perf_counter() - start
-                rec = BenchRecord(image_id, spec.mask_id, name, mse(original, restored), iterations, wall, converged)
+                rec = BenchRecord(image_id, mask_id, name, mse(original, restored), iterations, wall, converged)
                 records.append(rec)
                 if progress is not None:
                     progress(rec)
     return records
-
-
-def records_to_csv(records) -> str:
-    """Render records as CSV text with LF line endings."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.image_id},{r.mask_id},{r.algorithm},{r.mse:.6g},{r.iterations},{r.wall_seconds:.6g},{r.converged}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_records_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(records_to_csv(records))
 
 
 @dataclass(frozen=True)
@@ -140,16 +123,20 @@ def aggregate_records(records) -> list[AggregateRow]:
     return rows
 
 
-def aggregate_to_csv(rows) -> str:
-    lines = [AGGREGATE_HEADER]
-    for a in rows:
-        lines.append(
-            f"{a.mask_id},{a.algorithm},{a.n_images},{a.mse_mean:.6g},{a.mse_std:.6g},"
-            f"{a.wall_mean:.6g},{a.wall_std:.6g}"
-        )
+def to_csv(rows, row_type) -> str:
+    """Render dataclass rows as CSV text with LF line endings.
+
+    The header is the field names of row_type; floats print as :.6g and
+    every other value as str.
+    """
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    for row in rows:
+        values = (getattr(row, name) for name in names)
+        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
-def write_aggregate_csv(rows, path) -> None:
+def write_csv(rows, row_type, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(aggregate_to_csv(rows))
+        fh.write(to_csv(rows, row_type))

@@ -8,14 +8,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
-from .bench import ALGORITHMS, aggregate_records, run_bench, write_aggregate_csv, write_records_csv
+from .bench import ALGORITHMS, AggregateRow, BenchRecord, aggregate_records, run_bench, write_csv
 from .diffusion import DiffusionConfig, diffuse
 from .directional import inpaint_directional, render_directionality_overlay
 from .image_io import CODECS, ImageFormatError, read_image, write_image
 from .kernels import diag_kernel, diamond_kernel
-from .masks import MaskSpec, apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
+from .masks import apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,21 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
-    print(f"{parser.prog}: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"size must look like ROWSxCOLS, got {text!r}")
-    rows, cols = int(parts[0]), int(parts[1])
-    if rows < 1 or cols < 1:
-        raise ValueError(f"size must be positive, got {text!r}")
-    return rows, cols
-
-
 def _at_least(low, cast):
     """argparse type for a bounded option: cast, then reject values below low."""
 
@@ -60,6 +46,56 @@ def _at_least(low, cast):
 
     parse.__name__ = cast.__name__  # keeps argparse's "invalid float value" wording
     return parse
+
+
+def _fraction(text):
+    """argparse type for a fraction in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+_fraction.__name__ = "float"  # keeps argparse's "invalid float value" wording
+
+
+def _comma_list(item):
+    """argparse type for a comma list of at least one entry, each parsed by item."""
+
+    def parse(text):
+        values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+        return values
+
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
+def _algorithm_id(text):
+    """argparse type for one bench algorithm id."""
+    if text not in ALGORITHMS:
+        raise argparse.ArgumentTypeError(f"unknown algorithm {text!r}; choose from {', '.join(ALGORITHMS)}")
+    return text
+
+
+def _size(text):
+    """argparse type for ROWSxCOLS, both at least 1."""
+    rows, _, cols = text.lower().partition("x")
+    try:
+        size = int(rows), int(cols)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must look like ROWSxCOLS, got {text}") from None
+    if min(size) < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return size
+
+
+def _non_empty(text):
+    """argparse type for a non-empty string."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be non-empty")
+    return text
 
 
 def build_parser() -> _Parser:
@@ -78,29 +114,32 @@ def build_parser() -> _Parser:
     p_in.add_argument("--max-iters", type=_at_least(1, int), default=10_000)
     p_in.add_argument("--snapshot-every", type=_at_least(1, int), default=None, metavar="K", help="write the iterate every K iterations")
     p_in.add_argument("--snapshot-dir", default=None, metavar="DIR")
-    p_in.set_defaults(func=cmd_inpaint)
+    p_in.set_defaults(func=partial(cmd_inpaint, p_in))
 
     p_gen = sub.add_parser("genmask", help="generate a mask image")
-    p_gen.add_argument("--size", required=True, metavar="ROWSxCOLS")
+    p_gen.add_argument("--size", type=_size, required=True, metavar="ROWSxCOLS")
     p_gen.add_argument("--out", required=True, metavar="PATH")
-    p_gen.add_argument("--random", type=float, default=None, metavar="FRACTION", help="missing pixel fraction in [0, 1]")
-    p_gen.add_argument("--seed", type=int, default=42)
-    p_gen.add_argument("--text", default=None)
+    kind = p_gen.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--random", type=_fraction, metavar="FRACTION", help="missing pixel fraction in [0, 1]")
+    kind.add_argument("--text", type=_non_empty)
+    p_gen.add_argument("--seed", type=_at_least(0, int), default=42)
     p_gen.add_argument("--scale", type=_at_least(1, int), default=1)
     p_gen.set_defaults(func=cmd_genmask)
 
     p_bench = sub.add_parser("bench", help="benchmark algorithms over an image directory")
     p_bench.add_argument("--images", required=True, metavar="DIR", help="directory of .pgm/.png grayscale images")
     p_bench.add_argument("--out", required=True, metavar="CSV")
-    p_bench.add_argument("--algos", default=",".join(ALGORITHMS), help="comma list of algorithm ids")
-    p_bench.add_argument("--text", default=None, help="add a text mask with this text")
+    p_bench.add_argument("--algos", type=_comma_list(_algorithm_id), default=tuple(ALGORITHMS), help="comma list of algorithm ids")
+    p_bench.add_argument("--text", type=_non_empty, default=None, help="add a text mask with this text")
     p_bench.add_argument("--scale", type=_at_least(1, int), default=2, help="text mask scale")
-    p_bench.add_argument("--random-fractions", default=None, metavar="F1,F2,...", help="add random masks at these missing fractions")
-    p_bench.add_argument("--seed", type=int, default=42)
+    p_bench.add_argument(
+        "--random-fractions", type=_comma_list(_fraction), default=(), metavar="F1,F2,...", help="add random masks at these missing fractions"
+    )
+    p_bench.add_argument("--seed", type=_at_least(0, int), default=42)
     p_bench.add_argument("--aggregate-out", default=None, metavar="CSV", help="also write per-mask aggregate stats")
     p_bench.add_argument("--epsilon", type=_at_least(0, float), default=1e-3)
     p_bench.add_argument("--max-iters", type=_at_least(1, int), default=10_000)
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=partial(cmd_bench, p_bench))
     return parser
 
 
@@ -108,24 +147,15 @@ def _warn_capped(max_iters: int, detail: str) -> None:
     print(f"inpaintkit: warning: stopped at max-iters {max_iters} without converging ({detail})", file=sys.stderr)
 
 
-def _load_mask(path):
-    return mask_from_image(read_image(path))
-
-
 def cmd_inpaint(parser, args) -> int:
-    if args.algo == "diffusion":
-        if args.patch is not None:
-            return _usage_error(parser, "--patch applies to --algo directional only")
-        if args.overlay is not None:
-            return _usage_error(parser, "--overlay applies to --algo directional only")
-    else:
-        if args.kernel is not None:
-            return _usage_error(parser, "--kernel applies to --algo diffusion only")
+    for flag, algo in (("patch", "directional"), ("overlay", "directional"), ("kernel", "diffusion")):
+        if getattr(args, flag) is not None and args.algo != algo:
+            parser.error(f"--{flag} applies to --algo {algo} only")
     if (args.snapshot_every is None) != (args.snapshot_dir is None):
-        return _usage_error(parser, "--snapshot-every and --snapshot-dir go together")
+        parser.error("--snapshot-every and --snapshot-dir go together")
 
     image = read_image(args.input)
-    mask = _load_mask(args.mask)
+    mask = mask_from_image(read_image(args.mask))
     config = DiffusionConfig(epsilon=args.epsilon, max_iters=args.max_iters)
     damaged = apply_damage(image, mask)
 
@@ -157,20 +187,11 @@ def cmd_inpaint(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_genmask(parser, args) -> int:
-    if (args.random is None) == (args.text is None):
-        return _usage_error(parser, "give exactly one of --random or --text")
-    try:
-        rows, cols = _parse_size(args.size)
-    except ValueError as exc:
-        return _usage_error(parser, str(exc))
+def cmd_genmask(args) -> int:
+    rows, cols = args.size
     if args.random is not None:
-        if not (0.0 <= args.random <= 1.0):
-            return _usage_error(parser, f"--random must be in [0, 1], got {args.random:g}")
         mask = random_mask(rows, cols, args.random, args.seed)
     else:
-        if not args.text:
-            return _usage_error(parser, "--text must be non-empty")
         mask = text_mask(rows, cols, args.text, args.scale)
     write_image(mask_to_image(mask), args.out)
     missing = int((mask == 0).sum())
@@ -179,27 +200,14 @@ def cmd_genmask(parser, args) -> int:
 
 
 def cmd_bench(parser, args) -> int:
-    algorithms = tuple(name.strip() for name in args.algos.split(",") if name.strip())
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            return _usage_error(parser, f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
-    if not algorithms:
-        return _usage_error(parser, "--algos must name at least one algorithm")
-
-    specs = []
+    # mask_id -> builder(rows, cols), text first; a repeated fraction is one mask
+    masks = {}
     if args.text is not None:
-        specs.append(MaskSpec(kind="text", text=args.text, scale=args.scale))
-    if args.random_fractions is not None:
-        try:
-            fractions = [float(tok) for tok in args.random_fractions.split(",") if tok.strip()]
-        except ValueError:
-            return _usage_error(parser, f"bad --random-fractions {args.random_fractions!r}")
-        for f in fractions:
-            if not (0.0 <= f <= 1.0):
-                return _usage_error(parser, f"random fraction must be in [0, 1], got {f:g}")
-            specs.append(MaskSpec(kind="random", missing_fraction=f, seed=args.seed))
-    if not specs:
-        return _usage_error(parser, "no masks requested; give --text and/or --random-fractions")
+        masks[f"text-scale{args.scale}"] = partial(text_mask, text=args.text, scale=args.scale)
+    for f in args.random_fractions:
+        masks[f"random-{f:g}-seed{args.seed}"] = partial(random_mask, missing_fraction=f, seed=args.seed)
+    if not masks:
+        parser.error("no masks requested; give --text and/or --random-fractions")
 
     image_dir = Path(args.images)
     if not image_dir.is_dir():
@@ -219,23 +227,21 @@ def cmd_bench(parser, args) -> int:
         if not rec.converged:
             _warn_capped(args.max_iters, f"{rec.image_id} {rec.mask_id} {rec.algorithm}")
 
-    records = run_bench(images, specs, algorithms, config, progress=progress)
-    write_records_csv(records, args.out)
+    records = run_bench(images, masks, args.algos, config, progress=progress)
+    write_csv(records, BenchRecord, args.out)
     print(f"wrote {args.out}: {len(records)} records")
     if args.aggregate_out is not None:
-        write_aggregate_csv(aggregate_records(records), args.aggregate_out)
+        write_csv(aggregate_records(records), AggregateRow, args.aggregate_out)
         print(f"wrote {args.aggregate_out}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # argparse's own exits and every parser.error()
         return int(exc.code or 0)
-    try:
-        return args.func(parser, args)
     except (ImageFormatError, OSError) as exc:
         print(f"inpaintkit: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -108,6 +108,9 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     if bad:
         raise ValueError(f"kernels have {bad} negative or non-finite weight(s); weights must be finite and >= 0")
     k = normalize(k)
+    bad = np.flatnonzero((coords[:, 0] + coords[:, 2] > image.shape[0]) | (coords[:, 1] + coords[:, 3] > image.shape[1]))
+    if len(bad):
+        raise ValueError(f"region {bad[0]} {coords[bad[0]].tolist()} runs past the {image.shape[0]}x{image.shape[1]} image")
     cfg = config if config is not None else DiffusionConfig()
 
     out = image.copy()

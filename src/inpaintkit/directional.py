@@ -39,6 +39,11 @@ class PatchGrid:
             value = np.array(getattr(self, name), dtype=dtype)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        if self.coords.ndim != 2 or self.coords.shape[1] != 4:
+            raise ValueError(f"coords must be (P, 4) rows of (top, left, height, width), got shape {self.coords.shape}")
+        bad = np.flatnonzero((self.coords[:, :2] < 0).any(axis=1) | (self.coords[:, 2:] < 1).any(axis=1))
+        if len(bad):
+            raise ValueError(f"patch {bad[0]} {self.coords[bad[0]].tolist()}: top and left must be >= 0, height and width >= 1")
         if not (len(self.coords) == len(self.angles) == len(self.kernels)):
             raise ValueError(
                 "coords, angles and kernels must have equal length, got "

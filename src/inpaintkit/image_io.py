@@ -9,13 +9,16 @@ reproduces the quantized values exactly.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .core import as_image
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# whitespace and '#' comments (up to the newline), then one token; the
+# token is empty only at the end of the data
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
 class ImageFormatError(ValueError):
@@ -29,23 +32,10 @@ def quantize(img) -> np.ndarray:
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments, then read one token
-    n = len(data)
-    while pos < n:
-        b = data[pos : pos + 1]
-        if b == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif b in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ImageFormatError(f"unexpected end of header at byte {pos}")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise ImageFormatError(f"unexpected end of header at byte {match.end()}")
+    return match[1], match.end()
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -76,7 +66,7 @@ def read_pgm(path) -> np.ndarray:
         raise ImageFormatError(f"maxval {maxval} unsupported; only 8-bit (maxval 255) PGM is handled")
     if maxval < 1:
         raise ImageFormatError(f"bad maxval {maxval}")
-    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise ImageFormatError(f"missing whitespace after maxval at byte {pos}")
     pos += 1  # exactly one whitespace byte separates header and raster
     need = width * height

@@ -6,8 +6,6 @@ Both generators are fully deterministic for a given argument tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import as_image, as_mask, require_same_shape
@@ -86,34 +84,3 @@ def mask_to_image(mask) -> np.ndarray:
     """Render a mask as a black/white image (known pixels white)."""
     return as_mask(mask).astype(np.float64)
 
-
-@dataclass(frozen=True)
-class MaskSpec:
-    """Recipe for building a mask at a given image size.
-
-    kind is "random" or "text". Random masks use missing_fraction and
-    seed; text masks use text and scale.
-    """
-
-    kind: str
-    missing_fraction: float = 0.0
-    seed: int = 0
-    text: str = ""
-    scale: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("random", "text"):
-            raise ValueError(f"unknown mask kind {self.kind!r}")
-        if self.kind == "text" and not self.text:
-            raise ValueError("text mask needs text")
-
-    @property
-    def mask_id(self) -> str:
-        if self.kind == "random":
-            return f"random-{self.missing_fraction:g}-seed{self.seed}"
-        return f"text-scale{self.scale}"
-
-    def build(self, rows: int, cols: int) -> np.ndarray:
-        if self.kind == "random":
-            return random_mask(rows, cols, self.missing_fraction, self.seed)
-        return text_mask(rows, cols, self.text, self.scale)

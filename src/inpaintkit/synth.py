@@ -76,19 +76,6 @@ def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float, period
     return np.where(z == 0, a, b)
 
 
-def micro_texture(size: int, amplitude: float, periods=(5.0, 7.0, 11.0), angles_deg=(15.0, 75.0, 130.0)) -> np.ndarray:
-    """Faint isotropic-ish texture: several incommensurate waves summed.
-
-    Zero mean; scale by amplitude before adding to a base image.
-    """
-    yy, xx = _coords(size)
-    out = np.zeros((size, size))
-    for period, ang in zip(periods, angles_deg):
-        t = np.radians(ang)
-        out += np.sin((np.cos(t) * yy + np.sin(t) * xx) * (2.0 * np.pi / period))
-    return amplitude * out / len(periods)
-
-
 def compose(*layers) -> np.ndarray:
     """Sum image layers and clip to [0, 1]."""
     total = layers[0].astype(np.float64, copy=True)

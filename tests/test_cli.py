@@ -148,8 +148,10 @@ def test_usage_errors_exit_1(workspace, capsys):
     assert main(["paint"]) == EXIT_USAGE
     assert main(base + ["--algo", "cubist"]) == EXIT_USAGE
     assert main(["inpaint", "--algo", "diffusion"]) == EXIT_USAGE
-    # flag/algorithm mismatches
+    # flag/algorithm mismatches, reported by the subcommand's parser
+    capsys.readouterr()
     assert main(base + ["--algo", "diffusion", "--patch", "8"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("inpaintkit inpaint: error: --patch applies to --algo directional only\n")
     assert main(base + ["--algo", "diffusion", "--overlay", out]) == EXIT_USAGE
     assert main(base + ["--algo", "directional", "--kernel", "diag"]) == EXIT_USAGE
     assert main(base + ["--algo", "directional", "--patch", "1"]) == EXIT_USAGE
@@ -204,14 +206,24 @@ def test_genmask_text_matches_library(tmp_path):
 
 def test_genmask_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "m.pgm")
-    assert main(["genmask", "--size", "32x32", "--out", out]) == EXIT_USAGE
-    assert main(["genmask", "--size", "32x32", "--out", out, "--random", "0.2", "--text", "x"]) == EXIT_USAGE
-    assert main(["genmask", "--size", "32", "--out", out, "--random", "0.2"]) == EXIT_USAGE
-    assert main(["genmask", "--size", "32x32", "--out", out, "--random", "1.5"]) == EXIT_USAGE
-    capsys.readouterr()
-    for flag, value, bound in (("--scale", "0", "1"), ("--scale", "-3", "1")):
+    # every usage error exits 1 and names its flag
+    for args, message in (
+        ([], "one of the arguments --random --text is required"),
+        (["--random", "0.2", "--text", "x"], "argument --text: not allowed with argument --random"),
+        (["--random", "1.5"], "argument --random: must be in [0, 1], got 1.5"),
+        (["--random", "half"], "argument --random: invalid float value: 'half'"),
+        (["--text", ""], "argument --text: must be non-empty"),
+    ):
+        assert main(["genmask", "--size", "32x32", "--out", out, *args]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    for size, message in (("32", "must look like ROWSxCOLS"), ("32x32x2", "must look like ROWSxCOLS"), ("0x32", "must be positive")):
+        assert main(["genmask", "--size", size, "--out", out, "--random", "0.2"]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument --size: {message}, got {size}\n")
+    for flag, value, bound in (("--scale", "0", "1"), ("--scale", "-3", "1"), ("--seed", "-1", "0")):
         assert main(["genmask", "--size", "32x32", "--out", out, "--text", "x", flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
+    # seed 0 is a valid seed
+    assert main(["genmask", "--size", "8x8", "--out", out, "--random", "0.5", "--seed", "0"]) == EXIT_OK
 
 
 def test_bench_end_to_end(tmp_path, capsys):
@@ -248,6 +260,30 @@ def test_bench_end_to_end(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_bench_mask_ids_order_and_repeated_fractions(tmp_path, capsys):
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    rng = np.random.default_rng(54)
+    for name in ("one", "two"):
+        write_image(rng.uniform(size=(16, 16)), img_dir / f"{name}.pgm")
+    csv_path = tmp_path / "results.csv"
+    agg_path = tmp_path / "agg.csv"
+    argv = ["bench", "--images", str(img_dir), "--out", str(csv_path), "--algos", "diffusion-diamond", "--aggregate-out", str(agg_path)]
+    # the text mask comes first whatever the flag order; a repeated fraction is one mask
+    code = main(argv + ["--random-fractions", "0.3,0.3", "--seed", "7", "--text", "ab", "--scale", "3"])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("one", "text-scale3"),
+        ("one", "random-0.3-seed7"),
+        ("two", "text-scale3"),
+        ("two", "random-0.3-seed7"),
+    ]
+    assert f"wrote {csv_path}: 4 records" in capsys.readouterr().out
+    agg = [line.split(",") for line in agg_path.read_text().strip().split("\n")[1:]]
+    assert [(a[0], a[2]) for a in agg] == [("text-scale3", "2"), ("random-0.3-seed7", "2")]
+
+
 def test_bench_warns_when_max_iters_stops_a_run(tmp_path, capsys):
     img_dir = tmp_path / "images"
     img_dir.mkdir()
@@ -270,13 +306,27 @@ def test_bench_usage_and_io_errors(tmp_path, capsys):
     img_dir = tmp_path / "images"
     img_dir.mkdir()
     csv_path = str(tmp_path / "r.csv")
-    # unknown algorithm and no masks requested are usage errors
-    assert main(["bench", "--images", str(img_dir), "--out", csv_path, "--algos", "nope", "--text", "x"]) == EXIT_USAGE
-    assert main(["bench", "--images", str(img_dir), "--out", csv_path]) == EXIT_USAGE
+    # unknown algorithm, bad lists and no masks requested are usage errors that name the flag
+    for args, message in (
+        (["--algos", "nope", "--text", "x"], "argument --algos: unknown algorithm 'nope'"),
+        (["--algos", ",", "--text", "x"], "argument --algos: must list at least one value, got ','"),
+        (["--text", ""], "argument --text: must be non-empty"),
+        (["--random-fractions", "0.3,1.5"], "argument --random-fractions: must be in [0, 1], got 1.5"),
+        (["--random-fractions", "0.3,x"], "argument --random-fractions: invalid float list value: '0.3,x'"),
+        ([], "no masks requested; give --text and/or --random-fractions"),
+    ):
+        assert main(["bench", "--images", str(img_dir), "--out", csv_path, *args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and err.endswith("\n")
     # out-of-range settings are usage errors that name the flag and its value
-    capsys.readouterr()
     base = ["bench", "--images", str(img_dir), "--out", csv_path, "--text", "x"]
-    for flag, value, bound in (("--epsilon", "-0.5", "0"), ("--epsilon", "nan", "0"), ("--max-iters", "0", "1"), ("--scale", "0", "1")):
+    for flag, value, bound in (
+        ("--epsilon", "-0.5", "0"),
+        ("--epsilon", "nan", "0"),
+        ("--max-iters", "0", "1"),
+        ("--scale", "0", "1"),
+        ("--seed", "-1", "0"),
+    ):
         assert main(base + [flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
     # an empty image directory is an I/O error

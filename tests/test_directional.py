@@ -194,6 +194,27 @@ def test_clipped_patches_are_still_processed():
     assert np.all(filled > 0.0)
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ([[-1, 0, 4, 4]], r"patch 0 \[-1, 0, 4, 4\]: top and left must be >= 0"),
+        ([[0, 0, 4, 4], [0, -2, 4, 4]], r"patch 1 \[0, -2, 4, 4\]: top and left must be >= 0"),
+        ([[0, 0, 0, 4]], r"height and width >= 1"),
+        ([[0, 0, 4, 0]], r"height and width >= 1"),
+        ([[0, 0, 4, 4, 0]], r"coords must be \(P, 4\) rows"),
+        ([0, 0, 4, 4], r"coords must be \(P, 4\) rows"),
+        ([[6, 0, 4, 4]], r"region 0 \[6, 0, 4, 4\] runs past the 8x8 image"),
+        ([[0, 0, 4, 4], [4, 5, 4, 4]], r"region 1 \[4, 5, 4, 4\] runs past the 8x8 image"),
+    ],
+    ids=["negative-top", "negative-left", "zero-height", "zero-width", "five-columns", "flat", "past-bottom", "past-right"],
+)
+def test_bad_patch_coords_rejected(coords, message):
+    mask = random_mask(8, 8, 0.5, seed=2)
+    damaged = apply_damage(np.full((8, 8), 0.5), mask)
+    with pytest.raises(ValueError, match=message):
+        diffuse_patches(damaged, mask, PatchGrid(coords, [0.0] * len(coords), [diamond_kernel()] * len(coords)))
+
+
 def test_overlay_draws_along_the_reported_angle():
     # odd patch side keeps the segment centre on an exact pixel
     img = np.zeros((15, 15))

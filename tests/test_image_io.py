@@ -51,6 +51,14 @@ def test_pgm_reader_tolerates_comments_and_whitespace(tmp_path):
     assert img[1, 2] == 5.0 / 255.0
 
 
+def test_pgm_comment_glued_to_a_token(tmp_path):
+    path = tmp_path / "glued.pgm"
+    path.write_bytes(b"P5 3#c\n2 255\n" + bytes(range(6)))
+    img = read_pgm(path)
+    assert img.shape == (2, 3)
+    assert img[1, 2] == 5.0 / 255.0
+
+
 def test_pgm_low_maxval_rescales(tmp_path):
     raw = b"P5\n2 1\n100\n" + bytes([0, 50])
     path = tmp_path / "e.pgm"
@@ -84,6 +92,13 @@ def test_truncated_raster_reports_byte_offset(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
     with pytest.raises(ImageFormatError, match="truncated at byte 18"):
+        read_pgm(path)
+
+
+def test_non_integer_width_reports_its_token(tmp_path):
+    path = tmp_path / "width.pgm"
+    path.write_bytes(b"P5\nx 2\n255\n")
+    with pytest.raises(ImageFormatError, match=r"^bad width b'x' at byte 2$"):
         read_pgm(path)
 
 

@@ -1,4 +1,4 @@
-"""Tests for mask generation, damage application and mask specs."""
+"""Tests for mask generation and damage application."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from inpaintkit.font5x7 import glyph_bitmap
 from inpaintkit.masks import (
     GLYPH_ADVANCE,
     LINE_ADVANCE,
-    MaskSpec,
     apply_damage,
     mask_from_image,
     mask_to_image,
@@ -106,22 +105,3 @@ def test_mask_image_roundtrip():
     mask = random_mask(16, 16, 0.3, seed=3)
     assert np.array_equal(mask_from_image(mask_to_image(mask)), mask)
 
-
-def test_mask_spec_ids():
-    assert MaskSpec(kind="random", missing_fraction=0.3, seed=42).mask_id == "random-0.3-seed42"
-    assert MaskSpec(kind="text", text="hi", scale=2).mask_id == "text-scale2"
-
-
-def test_mask_spec_builds_each_kind():
-    spec = MaskSpec(kind="random", missing_fraction=0.25, seed=1)
-    assert np.array_equal(spec.build(16, 16), random_mask(16, 16, 0.25, seed=1))
-
-    spec = MaskSpec(kind="text", text="I")
-    assert np.array_equal(spec.build(7, 5), text_mask(7, 5, "I"))
-
-
-def test_mask_spec_validation():
-    with pytest.raises(ValueError):
-        MaskSpec(kind="blob")
-    with pytest.raises(ValueError):
-        MaskSpec(kind="text")
