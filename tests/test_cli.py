@@ -334,6 +334,27 @@ def test_bench_usage_and_io_errors(tmp_path, capsys):
     assert main(["bench", "--images", str(tmp_path / "missing"), "--out", csv_path, "--text", "x"]) == EXIT_IO
 
 
+def test_bench_rejects_a_bad_mask_request_before_any_run(tmp_path, capsys):
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    write_image(np.random.default_rng(55).uniform(size=(16, 16)), img_dir / "one.pgm")
+    csv_path = tmp_path / "r.csv"
+    base = ["bench", "--images", str(img_dir), "--out", str(csv_path), "--algos", "diffusion-diamond"]
+    # an empty text and no mask kind at all are refused with a readable image on hand, and nothing is written
+    for args, message in (
+        (["--text", ""], "argument --text: must be non-empty"),
+        (["--text", "", "--random-fractions", "0.3"], "argument --text: must be non-empty"),
+        ([], "no masks requested; give --text and/or --random-fractions"),
+    ):
+        assert main(base + args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: {message}\n") and captured.out == ""
+        assert not csv_path.exists()
+    # the same image benches once a mask is given
+    assert main(base + ["--text", "x"]) == EXIT_OK
+    assert csv_path.read_text().strip().split("\n")[1].startswith("one,text-scale2,diffusion-diamond,")
+
+
 def test_help_exits_zero(capsys):
     # argparse's SystemExit is absorbed and surfaced as a return code
     assert main(["--help"]) == EXIT_OK
