@@ -14,7 +14,7 @@ from pathlib import Path
 from .bench import ALGORITHMS, AggregateRow, BenchRecord, aggregate_records, run_bench, write_csv
 from .diffusion import DiffusionConfig, diffuse
 from .directional import inpaint_directional, render_directionality_overlay
-from .image_io import CODECS, ImageFormatError, read_image, write_image
+from .image_io import CODECS, ImageFormatError, codec, read_image, write_image
 from .kernels import diag_kernel, diamond_kernel
 from .masks import apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
@@ -60,10 +60,11 @@ _fraction.__name__ = "float"  # keeps argparse's "invalid float value" wording
 
 
 def _comma_list(item):
-    """argparse type for a comma list of at least one entry, each parsed by item."""
+    """argparse type for a comma list of at least one distinct entry, each parsed by item."""
 
     def parse(text):
-        values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+        # a repeated entry counts once, in first-seen order
+        values = list(dict.fromkeys(item(tok.strip()) for tok in text.split(",") if tok.strip()))
         if not values:
             raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
         return values
@@ -147,12 +148,25 @@ def _warn_capped(max_iters: int, detail: str) -> None:
     print(f"inpaintkit: warning: stopped at max-iters {max_iters} without converging ({detail})", file=sys.stderr)
 
 
+def _require_output_dirs(*paths) -> None:
+    """Fail before any work when the directory of an output path does not exist, naming the path."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: directory {Path(path).parent} does not exist")
+
+
 def cmd_inpaint(parser, args) -> int:
     for flag, algo in (("patch", "directional"), ("overlay", "directional"), ("kernel", "diffusion")):
         if getattr(args, flag) is not None and args.algo != algo:
             parser.error(f"--{flag} applies to --algo {algo} only")
     if (args.snapshot_every is None) != (args.snapshot_dir is None):
         parser.error("--snapshot-every and --snapshot-dir go together")
+
+    # an output that cannot be written fails before any input is read
+    for path in (args.out, args.overlay):
+        if path is not None:
+            codec(path)
+    _require_output_dirs(args.out, args.overlay)
 
     image = read_image(args.input)
     mask = mask_from_image(read_image(args.mask))
@@ -200,7 +214,7 @@ def cmd_genmask(args) -> int:
 
 
 def cmd_bench(parser, args) -> int:
-    # mask_id -> builder(rows, cols), text first; a repeated fraction is one mask
+    # mask_id -> builder(rows, cols), text first
     masks = {}
     if args.text is not None:
         masks[f"text-scale{args.scale}"] = partial(text_mask, text=args.text, scale=args.scale)
@@ -209,6 +223,7 @@ def cmd_bench(parser, args) -> int:
     if not masks:
         parser.error("no masks requested; give --text and/or --random-fractions")
 
+    _require_output_dirs(args.out, args.aggregate_out)
     image_dir = Path(args.images)
     if not image_dir.is_dir():
         raise ImageFormatError(f"{image_dir} is not a directory")

@@ -85,15 +85,15 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     window-major order, so each tap is a gather at a constant offset,
     their current values are kept beside the stack as one vector, and
     the per-window deltas are segment sums over each window's run of
-    cells. Per window only its cell count is kept, not a per-cell window
-    id: a per-window weight or running flag is repeated by the counts
-    where a per-cell one is needed, and the segment starts are the
-    counts' running sums, recomputed only when windows drop out. Each
-    window stops on its own threshold or cap, and its cells are then
-    dropped from the step. on_step(counts, interiors), if given, is
-    called after every step. Returns the image with every interior
-    written back in one assignment, and per region the iterations, final
-    deltas and converged flags.
+    cells. Per window only its cell count is kept: a per-window weight
+    or running flag is repeated by the counts where a per-cell one is
+    needed, and the segment starts are the counts' running sums,
+    recomputed only when windows drop out. Each window stops on its own
+    threshold or cap, and its cells are then dropped from the step.
+    on_step(counts, interiors), if given, is called after every step.
+    Returns the image with every interior written back in one
+    assignment, and per region the iterations, final deltas and
+    converged flags.
     """
     image = as_image(image)
     mask = as_mask(mask)

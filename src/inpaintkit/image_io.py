@@ -28,7 +28,10 @@ class ImageFormatError(ValueError):
 def quantize(img) -> np.ndarray:
     """Map [0, 1] intensities to uint8, rounding and clipping."""
     img = as_image(img)
-    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    q = img * 255.0  # the one float temporary, rounded and clipped in place
+    np.rint(q, out=q)
+    np.clip(q, 0, 255, out=q)
+    return q.astype(np.uint8)
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -83,7 +86,9 @@ def write_pgm(img, path) -> None:
     """Write a [0, 1] float image as binary PGM (P5, maxval 255)."""
     q = quantize(img)
     header = f"P5\n{q.shape[1]} {q.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + q.tobytes())
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(q)
 
 
 def _require_pillow():
@@ -126,7 +131,8 @@ CODECS = {
 }
 
 
-def _codec(path):
+def codec(path):
+    """The (reader, writer) pair for a path's extension; an unsupported one raises ImageFormatError."""
     suffix = Path(path).suffix.lower()
     if suffix not in CODECS:
         raise ImageFormatError(f"unsupported image extension {suffix!r} (use .pgm or .png)")
@@ -135,9 +141,9 @@ def _codec(path):
 
 def read_image(path) -> np.ndarray:
     """Read a grayscale image by file extension (.pgm/.pnm or .png)."""
-    return _codec(path)[0](path)
+    return codec(path)[0](path)
 
 
 def write_image(img, path) -> None:
     """Write a grayscale image by file extension (.pgm/.pnm or .png)."""
-    _codec(path)[1](img, path)
+    codec(path)[1](img, path)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_image, as_mask, require_same_shape
-from .font5x7 import GLYPH_COLS, GLYPH_ROWS, glyph_bitmap
+from .core import as_image, as_int, as_mask, require_same_shape
+from .font5x7 import GLYPH_COLS, GLYPH_INDEX, GLYPH_ROWS, GLYPHS
 
 # glyph cell advance: 1 blank column between glyphs, 5 blank rows between lines
 GLYPH_ADVANCE = GLYPH_COLS + 1
@@ -22,6 +22,7 @@ def random_mask(rows: int, cols: int, missing_fraction: float, seed: int) -> np.
     Pixel positions are drawn by a seeded shuffle, so the count is exact
     rather than binomial and the result is reproducible.
     """
+    rows, cols = as_int(rows, "rows"), as_int(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError(f"mask size must be positive, got {rows}x{cols}")
     if not (0.0 <= missing_fraction <= 1.0):
@@ -43,27 +44,21 @@ def text_mask(rows: int, cols: int, text: str, scale: int = 1) -> np.ndarray:
     rows per line; the character stream continues across line breaks.
     Characters without a glyph render blank but still advance.
     """
+    rows, cols, scale = as_int(rows, "rows"), as_int(cols, "cols"), as_int(scale, "scale")
     if rows < 1 or cols < 1:
         raise ValueError(f"mask size must be positive, got {rows}x{cols}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     if not text:
         raise ValueError("text must be non-empty")
-    bits = np.ones((rows, cols), dtype=np.uint8)
-    block = np.ones((scale, scale), dtype=np.uint8)
-    k = 0
-    for top in range(0, rows, LINE_ADVANCE * scale):
-        for left in range(0, cols, GLYPH_ADVANCE * scale):
-            glyph = glyph_bitmap(text[k % len(text)])
-            k += 1
-            if not glyph.any():
-                continue
-            ink = np.kron(glyph, block)  # scaled to (7*scale, 5*scale)
-            h = min(ink.shape[0], rows - top)
-            w = min(ink.shape[1], cols - left)
-            region = bits[top : top + h, left : left + w]
-            region[ink[:h, :w] == 1] = 0
-    return bits
+    lines = -(-rows // (LINE_ADVANCE * scale))
+    per_line = -(-cols // (GLYPH_ADVANCE * scale))
+    glyphs = GLYPHS[np.resize([GLYPH_INDEX.get(ch, 0) for ch in text], (lines, per_line))]
+    # each glyph at the top left of its unscaled LINE_ADVANCE x GLYPH_ADVANCE cell
+    ink = np.zeros((lines, LINE_ADVANCE, per_line, GLYPH_ADVANCE), dtype=np.uint8)
+    ink[:, :GLYPH_ROWS, :, :GLYPH_COLS] = glyphs.transpose(0, 2, 1, 3)
+    ink = ink.reshape(lines * LINE_ADVANCE, per_line * GLYPH_ADVANCE)
+    return 1 - ink.repeat(scale, axis=0).repeat(scale, axis=1)[:rows, :cols]
 
 
 def apply_damage(img, mask) -> np.ndarray:

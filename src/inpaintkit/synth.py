@@ -12,9 +12,10 @@ import numpy as np
 
 
 def _coords(size: int):
+    """Float row and column coordinates as a (size, 1) column and a (1, size) row that broadcast to (size, size)."""
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
-    return np.mgrid[0:size, 0:size].astype(np.float64)
+    return np.ogrid[0.0:size, 0.0:size]
 
 
 def stripes(size: int, period: float, angle_deg: float, amplitude: float = 1.0, hardness: float = 0.0) -> np.ndarray:
@@ -78,10 +79,7 @@ def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float, period
 
 def compose(*layers) -> np.ndarray:
     """Sum image layers and clip to [0, 1]."""
-    total = layers[0].astype(np.float64, copy=True)
-    for layer in layers[1:]:
-        total = total + layer
-    return np.clip(total, 0.0, 1.0)
+    return np.clip(sum(layers[1:], np.asarray(layers[0], dtype=np.float64)), 0.0, 1.0)
 
 
 def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
@@ -93,11 +91,10 @@ def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
     deliberately left out; it drowns the orientation statistics that the
     directional algorithm relies on.
     """
-    half = 0.5
-    shading = lambda ang: 0.25 * (gradient(size, ang) - half)  # noqa: E731
+    shading = lambda ang: 0.25 * (gradient(size, ang) - 0.5)  # noqa: E731
     bumps = blobs(size, [(0.3, 0.7), (0.75, 0.25)], sigma=size / 5.0, amplitude=0.22)
     zone = max(size * 48.0 / 512.0, 16.0)
-    suite = {
+    return {
         "stripes-horizontal": compose(
             stripes(size, period=14.0, angle_deg=0.0, amplitude=0.62, hardness=0.8),
             shading(60.0),
@@ -119,4 +116,3 @@ def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
             bumps - bumps.mean(),
         ),
     }
-    return suite

@@ -6,7 +6,8 @@ for bit, against a plain per-patch loop; kernel rotation at right
 angles against plain array quarter turns, and at every angle against a
 separate polynomial-form bicubic evaluator; the orientation angle
 against the one-patch formula in plain floats; the orientation overlay
-against a per-sample drawing loop.
+against a per-sample drawing loop; the text mask against a per-glyph
+stamping loop that decodes each glyph's column bytes bit by bit.
 """
 
 from __future__ import annotations
@@ -207,3 +208,40 @@ def overlay_loop(img, patches) -> np.ndarray:
             if 0 <= r < rows and 0 <= c < cols:
                 out[r, c] = 1.0
     return out
+
+
+def glyph_bits(columns) -> np.ndarray:
+    """7x5 uint8 bitmap of five column bytes: bit r of byte c inks row r of column c."""
+    out = np.zeros((7, 5), dtype=np.uint8)
+    for c, byte in enumerate(columns):
+        for r in range(7):
+            if byte >> r & 1:
+                out[r, c] = 1
+    return out
+
+
+def text_mask_loop(rows: int, cols: int, text: str, scale: int, font) -> np.ndarray:
+    """Stamp the text one glyph at a time; 0 marks ink, 1 everything else.
+
+    font maps a character to its five column bytes. Glyph cells are
+    6 * scale columns wide and 12 * scale rows tall, filled row by row
+    from the origin with the character stream cycling through text.
+    Each glyph is scaled by pixel replication, put at the top left of
+    its cell and clipped at the image edge; a character missing from
+    font leaves its cell blank.
+    """
+    bits = np.ones((rows, cols), dtype=np.uint8)
+    block = np.ones((scale, scale), dtype=np.uint8)
+    k = 0
+    for top in range(0, rows, 12 * scale):
+        for left in range(0, cols, 6 * scale):
+            ch = text[k % len(text)]
+            k += 1
+            if ch not in font:
+                continue
+            ink = np.kron(glyph_bits(font[ch]), block)
+            h = min(ink.shape[0], rows - top)
+            w = min(ink.shape[1], cols - left)
+            region = bits[top : top + h, left : left + w]
+            region[ink[:h, :w] == 1] = 0
+    return bits

@@ -176,6 +176,45 @@ def test_io_errors_exit_2(workspace, tmp_path):
     assert main(["inpaint", "--algo", "diffusion", "--in", str(junk), "--mask", str(mask_path), "--out", out]) == EXIT_IO
 
 
+def test_inpaint_checks_its_outputs_before_reading_any_input(workspace, capsys):
+    tmp_path, image_path, mask_path, _ = workspace
+    overlay = tmp_path / "ov.pgm"
+    snaps = tmp_path / "snaps"
+    base = ["inpaint", "--algo", "directional", "--patch", "8", "--mask", str(mask_path)]
+    base += ["--snapshot-every", "5", "--snapshot-dir", str(snaps)]
+    # the input does not exist either: the output check must come first
+    for args, message in (
+        (["--out", str(tmp_path / "r.jpg"), "--overlay", str(overlay)], "unsupported image extension '.jpg'"),
+        (["--out", str(tmp_path / "r.pgm"), "--overlay", str(tmp_path / "ov.jpg")], "unsupported image extension '.jpg'"),
+        (["--out", str(tmp_path / "nodir" / "r.pgm"), "--overlay", str(overlay)], f"cannot write {tmp_path / 'nodir' / 'r.pgm'}"),
+    ):
+        assert main(base + ["--in", str(tmp_path / "nope.pgm"), *args]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+    # with a readable input, nothing is solved or written either
+    assert main(base + ["--in", str(image_path), "--out", str(tmp_path / "r.jpg"), "--overlay", str(overlay)]) == EXIT_IO
+    assert "unsupported image extension '.jpg'" in capsys.readouterr().err
+    assert not overlay.exists() and not snaps.exists() and not (tmp_path / "r.pgm").exists()
+    assert not list(tmp_path.rglob("iter*.pgm"))
+
+
+def test_bench_checks_its_output_paths_before_any_run(tmp_path, capsys):
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    write_image(np.random.default_rng(56).uniform(size=(16, 16)), img_dir / "one.pgm")
+    csv_path = tmp_path / "r.csv"
+    missing = tmp_path / "nodir"
+    base = ["bench", "--images", str(img_dir), "--text", "Hi", "--algos", "diffusion-diamond"]
+    for args, named in (
+        (["--out", str(missing / "r.csv")], missing / "r.csv"),
+        (["--out", str(csv_path), "--aggregate-out", str(missing / "a.csv")], missing / "a.csv"),
+    ):
+        assert main(base + args) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"cannot write {named}" in captured.err and captured.out == ""
+        assert not csv_path.exists() and not missing.exists()
+
+
 def test_numeric_errors_exit_3(workspace, tmp_path):
     tmp_path_ws, image_path, _, _ = workspace
     small_mask = tmp_path / "small_mask.pgm"
@@ -268,8 +307,8 @@ def test_bench_mask_ids_order_and_repeated_fractions(tmp_path, capsys):
         write_image(rng.uniform(size=(16, 16)), img_dir / f"{name}.pgm")
     csv_path = tmp_path / "results.csv"
     agg_path = tmp_path / "agg.csv"
-    argv = ["bench", "--images", str(img_dir), "--out", str(csv_path), "--algos", "diffusion-diamond", "--aggregate-out", str(agg_path)]
-    # the text mask comes first whatever the flag order; a repeated fraction is one mask
+    argv = ["bench", "--images", str(img_dir), "--out", str(csv_path), "--algos", "diffusion-diamond,diffusion-diamond", "--aggregate-out", str(agg_path)]
+    # the text mask comes first whatever the flag order; a repeated fraction is one mask and a repeated algorithm one run
     code = main(argv + ["--random-fractions", "0.3,0.3", "--seed", "7", "--text", "ab", "--scale", "3"])
     assert code == EXIT_OK
     rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]

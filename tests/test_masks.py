@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from inpaintkit.font5x7 import glyph_bitmap
+from inpaintkit.font5x7 import FONT, GLYPH_INDEX, GLYPHS
 from inpaintkit.masks import (
     GLYPH_ADVANCE,
     LINE_ADVANCE,
@@ -15,6 +15,7 @@ from inpaintkit.masks import (
     random_mask,
     text_mask,
 )
+from oracles import glyph_bits, text_mask_loop
 
 
 def test_random_mask_exact_counts_on_512_square():
@@ -42,10 +43,55 @@ def test_random_mask_validation():
         random_mask(0, 8, 0.5, seed=0)
     with pytest.raises(ValueError):
         random_mask(8, 8, 1.5, seed=0)
+    # a non-integer size names its argument
+    with pytest.raises(TypeError, match="rows must be an integer"):
+        random_mask(8.0, 8, 0.5, 0)
+    with pytest.raises(TypeError, match="cols must be an integer"):
+        random_mask(8, 8.0, 0.5, 0)
+
+
+def test_glyph_table_matches_bitwise_decoding():
+    assert GLYPHS.shape == (1 + len(FONT), 7, 5) and GLYPHS.dtype == np.uint8
+    assert not GLYPHS[0].any()
+    for ch, columns in FONT.items():
+        assert np.array_equal(GLYPHS[GLYPH_INDEX[ch]], glyph_bits(columns)), ch
+
+
+def test_glyph_a_is_pinned():
+    a = np.array(
+        [
+            [0, 1, 1, 1, 0],
+            [1, 0, 0, 0, 1],
+            [1, 0, 0, 0, 1],
+            [1, 0, 0, 0, 1],
+            [1, 1, 1, 1, 1],
+            [1, 0, 0, 0, 1],
+            [1, 0, 0, 0, 1],
+        ],
+        dtype=np.uint8,
+    )
+    assert np.array_equal(GLYPHS[GLYPH_INDEX["A"]], a)
+    assert np.array_equal(glyph_bits(FONT["A"]), a)
+    assert np.array_equal(text_mask(7, 5, "A"), 1 - a)
+
+
+def test_text_mask_matches_the_per_glyph_loop():
+    # odd and 1-pixel sizes, sizes on and off the glyph-cell grid, spaces,
+    # a tab and characters outside the font
+    texts = ("Lorem ipsum dolor sit amet", "a\tb é ☃ Z", " ", "~")
+    for rows in (1, 2, 7, 12, 13, 37, 97):
+        for cols in (1, 5, 6, 7, 31, 97):
+            for scale in (1, 2, 3, 4):
+                for text in texts:
+                    got = text_mask(rows, cols, text, scale)
+                    want = text_mask_loop(rows, cols, text, scale, FONT)
+                    assert got.dtype == np.uint8 and np.array_equal(got, want), (rows, cols, scale, text)
+    for scale in (1, 2):
+        assert np.array_equal(text_mask(512, 512, "Lorem ipsum", scale), text_mask_loop(512, 512, "Lorem ipsum", scale, FONT))
 
 
 def test_text_mask_single_glyph_is_the_exact_complement():
-    glyph = glyph_bitmap("I")
+    glyph = glyph_bits(FONT["I"])
     mask = text_mask(7, 5, "I")
     assert np.array_equal(mask, 1 - glyph)
 
@@ -55,7 +101,7 @@ def test_text_mask_space_leaves_everything_known():
 
 
 def test_text_mask_scaling_matches_kron():
-    glyph = glyph_bitmap("I")
+    glyph = glyph_bits(FONT["I"])
     mask = text_mask(14, 10, "I", scale=2)
     assert np.array_equal(mask, 1 - np.kron(glyph, np.ones((2, 2), dtype=np.uint8)))
 
@@ -64,8 +110,8 @@ def test_text_mask_advances_and_wraps_the_character_stream():
     # two glyph cells per line on a 24-column image; the stream continues
     # onto the next line instead of restarting
     mask = text_mask(LINE_ADVANCE + 7, GLYPH_ADVANCE * 2, "AB")
-    a = glyph_bitmap("A")
-    b = glyph_bitmap("B")
+    a = glyph_bits(FONT["A"])
+    b = glyph_bits(FONT["B"])
     assert np.array_equal(mask[:7, :5], 1 - a)
     assert np.array_equal(mask[:7, GLYPH_ADVANCE : GLYPH_ADVANCE + 5], 1 - b)
     # next line starts back at "A" (stream index 2 wraps around)
@@ -76,7 +122,7 @@ def test_text_mask_advances_and_wraps_the_character_stream():
 
 def test_text_mask_clips_at_the_image_edge():
     mask = text_mask(4, 3, "I")
-    glyph = glyph_bitmap("I")
+    glyph = glyph_bits(FONT["I"])
     assert np.array_equal(mask, 1 - glyph[:4, :3])
 
 
@@ -92,6 +138,10 @@ def test_text_mask_validation():
         text_mask(8, 8, "")
     with pytest.raises(ValueError):
         text_mask(8, 8, "x", scale=0)
+    # a non-integer size or scale names its argument
+    for kwargs, name in (({"rows": 16.0}, "rows"), ({"cols": 16.0}, "cols"), ({"scale": 2.0}, "scale")):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            text_mask(**{"rows": 16, "cols": 16, "text": "x", **kwargs})
 
 
 def test_apply_damage_zeroes_missing_pixels():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from inpaintkit.directionality import patch_angles
 from inpaintkit.synth import blobs, compose, gradient, rings, standard_suite, stripes, woven_stripes
@@ -40,3 +43,32 @@ def test_standard_suite_contents():
     again = standard_suite(64)
     for name in suite:
         assert np.array_equal(suite[name], again[name])
+
+
+# SHA-256 of each image's float64 bytes, recorded from the mgrid-based
+# generators that the broadcast coordinates replaced
+SUITE_SHA256 = {
+    96: {
+        "stripes-horizontal": "f20f3568baea86da8f2fed00465a9983c5f67025dda3b67653d291d0cc4f6fbe",
+        "stripes-diagonal": "69534cc1da8ea6efb5867b376d7eaa9196076a1197ec56fff9723c9e839cbbca",
+        "weave-axis": "73015b34f59494b1177ac0827f5e174e869d9befe7d4307d300aa5424c6f4a4f",
+        "weave-diagonal": "d90c1d115424151a277ff0f82913fea50bd34a30c77bc07dd41139c6b22ddd6f",
+        "rings": "364f3fe7be7973e66d4f9236a03b8bd5db4d6d96300b574379caf22fd72bcb52",
+    },
+    512: {
+        "stripes-horizontal": "52c3cf3606e0f13d9c1de5dd07f27fb226da07c3601905c4f8020d57f0708f8b",
+        "stripes-diagonal": "d57865ac649695fe04edd1a183aee80bb729a792240a22dfe1bd77534434bf52",
+        "weave-axis": "3c4fe42fcdaf9da9529b89435c5eabbc7bbb6e11fff0ac02285f8ef5c251ecab",
+        "weave-diagonal": "3ee8eac1bc5fb1e476fe5630ea70e7346ac4d82809f70e60e739d46c5d9dd922",
+        "rings": "e68b8cccb51c4311eefd8db766342c2c8437e92c52c205e15627525a568e884b",
+    },
+}
+
+
+@pytest.mark.parametrize("size", sorted(SUITE_SHA256))
+def test_standard_suite_images_match_their_pinned_digests(size):
+    suite = standard_suite(size)
+    assert list(suite) == list(SUITE_SHA256[size])
+    for name, img in suite.items():
+        assert img.shape == (size, size) and img.dtype == np.float64, name
+        assert hashlib.sha256(img.tobytes()).hexdigest() == SUITE_SHA256[size][name], name
