@@ -86,9 +86,7 @@ def write_pgm(img, path) -> None:
     """Write a [0, 1] float image as binary PGM (P5, maxval 255)."""
     q = quantize(img)
     header = f"P5\n{q.shape[1]} {q.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(q)
+    Path(path).write_bytes(header + q.tobytes())
 
 
 def _require_pillow():

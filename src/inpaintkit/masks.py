@@ -14,6 +14,8 @@ from .font5x7 import GLYPH_COLS, GLYPH_INDEX, GLYPH_ROWS, GLYPHS
 # glyph cell advance: 1 blank column between glyphs, 5 blank rows between lines
 GLYPH_ADVANCE = GLYPH_COLS + 1
 LINE_ADVANCE = GLYPH_ROWS + 5
+# each glyph at the top left of its unscaled LINE_ADVANCE x GLYPH_ADVANCE cell
+GLYPH_CELLS = np.pad(GLYPHS, ((0, 0), (0, LINE_ADVANCE - GLYPH_ROWS), (0, GLYPH_ADVANCE - GLYPH_COLS)))
 
 
 def random_mask(rows: int, cols: int, missing_fraction: float, seed: int) -> np.ndarray:
@@ -53,12 +55,9 @@ def text_mask(rows: int, cols: int, text: str, scale: int = 1) -> np.ndarray:
         raise ValueError("text must be non-empty")
     lines = -(-rows // (LINE_ADVANCE * scale))
     per_line = -(-cols // (GLYPH_ADVANCE * scale))
-    glyphs = GLYPHS[np.resize([GLYPH_INDEX.get(ch, 0) for ch in text], (lines, per_line))]
-    # each glyph at the top left of its unscaled LINE_ADVANCE x GLYPH_ADVANCE cell
-    ink = np.zeros((lines, LINE_ADVANCE, per_line, GLYPH_ADVANCE), dtype=np.uint8)
-    ink[:, :GLYPH_ROWS, :, :GLYPH_COLS] = glyphs.transpose(0, 2, 1, 3)
-    ink = ink.reshape(lines * LINE_ADVANCE, per_line * GLYPH_ADVANCE)
-    return 1 - ink.repeat(scale, axis=0).repeat(scale, axis=1)[:rows, :cols]
+    cells = GLYPH_CELLS[np.resize([GLYPH_INDEX.get(ch, 0) for ch in text], (lines, per_line))]
+    ink = cells.transpose(0, 2, 1, 3).reshape(lines * LINE_ADVANCE, per_line * GLYPH_ADVANCE)
+    return 1 - ink[np.arange(rows)[:, None] // scale, np.arange(cols) // scale]
 
 
 def apply_damage(img, mask) -> np.ndarray:

@@ -79,7 +79,10 @@ def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float, period
 
 def compose(*layers) -> np.ndarray:
     """Sum image layers and clip to [0, 1]."""
-    return np.clip(sum(layers[1:], np.asarray(layers[0], dtype=np.float64)), 0.0, 1.0)
+    total = layers[0].astype(np.float64, copy=True)
+    for layer in layers[1:]:
+        total = total + layer
+    return np.clip(total, 0.0, 1.0)
 
 
 def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
@@ -91,10 +94,11 @@ def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
     deliberately left out; it drowns the orientation statistics that the
     directional algorithm relies on.
     """
-    shading = lambda ang: 0.25 * (gradient(size, ang) - 0.5)  # noqa: E731
+    half = 0.5
+    shading = lambda ang: 0.25 * (gradient(size, ang) - half)  # noqa: E731
     bumps = blobs(size, [(0.3, 0.7), (0.75, 0.25)], sigma=size / 5.0, amplitude=0.22)
     zone = max(size * 48.0 / 512.0, 16.0)
-    return {
+    suite = {
         "stripes-horizontal": compose(
             stripes(size, period=14.0, angle_deg=0.0, amplitude=0.62, hardness=0.8),
             shading(60.0),
@@ -116,3 +120,4 @@ def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
             bumps - bumps.mean(),
         ),
     }
+    return suite

@@ -42,6 +42,16 @@ def test_pgm_header_layout(tmp_path):
     assert path.read_bytes() == b"P5\n3 2\n255\n" + b"\x00" * 6
 
 
+@pytest.mark.parametrize("suffix", [".pgm", ".png"])
+def test_transposed_image_is_written_in_row_order(tmp_path, suffix):
+    if suffix == ".png":
+        pytest.importorskip("PIL")
+    img = np.arange(12.0).reshape(3, 4) / 255.0
+    path = tmp_path / f"t{suffix}"
+    write_image(img.T, path)  # a Fortran-ordered view
+    assert np.array_equal(read_image(path), img.T)
+
+
 def test_pgm_reader_tolerates_comments_and_whitespace(tmp_path):
     raw = b"P5 # magic\n# a comment line\n  3\t2 #dims\n255\n" + bytes(range(6))
     path = tmp_path / "d.pgm"
