@@ -10,8 +10,17 @@ most runs hit the cap). Each run records the SHA-256 of
 `.image.tobytes()`, `iterations`, `converged`, `final_delta` and, for the
 directional runs, the SHA-256 of the patch angles.
 
-`tests/test_golden.py` recomputes the matrix against `tests/golden.json`.
-Write the manifest with
+The CLI section runs `inpaintkit.cli.main` in-process on the five
+`standard_suite(48)` images written as PGM, under a "Lorem ipsum" text
+mask that `genmask --text` writes. Each image runs `inpaint --algo
+diffusion --kernel diag` and `inpaint --algo directional --patch 7
+--overlay`, both with `--snapshot-every 3`; `genmask --random` runs once
+more on its own. Every run writes into its own directory, and its record
+holds the exit code, stdout with the directory and the wall time cut
+out, and the SHA-256 of every file it wrote.
+
+`tests/test_golden.py` recomputes both matrices against
+`tests/golden.json` and `tests/golden_cli.json`. Write the manifests with
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -22,19 +31,26 @@ change pass.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from inpaintkit.cli import main as cli_main
 from inpaintkit.diffusion import DiffusionConfig, diffuse
 from inpaintkit.directional import inpaint_directional
 from inpaintkit.kernels import diag_kernel, diamond_kernel
+from inpaintkit.image_io import write_image
 from inpaintkit.masks import apply_damage, random_mask, text_mask
 from inpaintkit.synth import standard_suite
 
 MANIFEST = Path(__file__).with_name("golden.json")
+CLI_MANIFEST = Path(__file__).with_name("golden_cli.json")
 CONFIG = DiffusionConfig(max_iters=300)
 CAPPED = DiffusionConfig(max_iters=60)
 CROPS = {"96x96": (96, 96), "45x38": (45, 38), "9x5": (9, 5), "2x2": (2, 2), "1x90": (1, 90)}
@@ -79,10 +95,44 @@ def golden_runs():
                     yield f"{case}/directional-{n}", _record(res, res.grid.angles)
 
 
+def _cli_record(out: Path, argv) -> dict:
+    """Run the CLI with its outputs under out; record its exit code, stdout and the digest of every file written."""
+    out.mkdir(parents=True)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main([str(arg).format(out=out) for arg in argv])
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    return {
+        "exit": code,
+        "stdout": re.sub(r"wall_seconds=\S+", "wall_seconds=*", stdout.getvalue().replace(f"{out}/", "")),
+        "files": {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
+    }
+
+
+def golden_cli_runs(work: Path):
+    """Yield (run id, record) for every CLI run of the matrix, each writing into its own directory under work."""
+    yield "genmask-random", _cli_record(work / "genmask-random", ["genmask", "--size", "48x40", "--random", "0.3", "--seed", "5", "--out", "{out}/mask.pgm"])
+    mask = work / "genmask-text" / "mask.pgm"
+    yield "genmask-text", _cli_record(mask.parent, ["genmask", "--size", "48x48", "--text", "Lorem ipsum", "--out", mask])
+    algos = {
+        "diffusion-diag": ["--algo", "diffusion", "--kernel", "diag"],
+        "directional-7": ["--algo", "directional", "--patch", "7", "--overlay", "{out}/overlay.pgm"],
+    }
+    for name, img in standard_suite(48).items():
+        write_image(img, work / f"{name}.pgm")
+        for algo, args in algos.items():
+            argv = ["inpaint", *args, "--in", work / f"{name}.pgm", "--mask", mask, "--out", "{out}/restored.pgm"]
+            yield f"{name}/{algo}", _cli_record(work / name / algo, argv + ["--snapshot-every", "3", "--snapshot-dir", "{out}/snaps"])
+
+
 def main() -> None:
     runs = dict(golden_runs())
     MANIFEST.write_text(json.dumps(runs, indent=1, sort_keys=False) + "\n")
     print(f"wrote {len(runs)} runs to {MANIFEST}")
+    with tempfile.TemporaryDirectory() as work:
+        runs = dict(golden_cli_runs(Path(work)))
+    CLI_MANIFEST.write_text(json.dumps(runs, indent=1, sort_keys=False) + "\n")
+    print(f"wrote {len(runs)} CLI runs to {CLI_MANIFEST}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
-"""The library's outputs over the golden matrix match `tests/golden.json` bit for bit."""
+"""The library's and the CLI's outputs over the golden matrices match `tests/golden.json` and `tests/golden_cli.json` bit for bit."""
 
 from __future__ import annotations
 
 import json
 import math
 
-from make_golden import MANIFEST, golden_runs
+from make_golden import CLI_MANIFEST, MANIFEST, golden_cli_runs, golden_runs
 
 
 def test_outputs_match_the_golden_manifest():
@@ -21,3 +21,16 @@ def test_outputs_match_the_golden_manifest():
             f"first run that differs: {run_id}: final_delta {delta!r}, expected {want_delta!r}"
         )
     assert seen == list(expected), f"{MANIFEST.name} lists runs the matrix no longer makes"
+
+
+def test_cli_outputs_match_the_cli_manifest(tmp_path):
+    expected = json.loads(CLI_MANIFEST.read_text())
+    seen = []
+    for run_id, got in golden_cli_runs(tmp_path):
+        seen.append(run_id)
+        want = expected.get(run_id)
+        assert want is not None, f"{run_id}: not in {CLI_MANIFEST.name}"
+        for name in sorted(got["files"].keys() | want["files"].keys()):
+            assert got["files"].get(name) == want["files"].get(name), f"first file that differs: {run_id}/{name}"
+        assert got == want, f"first run that differs: {run_id}: got {got}, expected {want}"
+    assert seen == list(expected), f"{CLI_MANIFEST.name} lists runs the matrix no longer makes"
