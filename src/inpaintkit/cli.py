@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from functools import partial
@@ -14,7 +15,7 @@ from pathlib import Path
 from .bench import ALGORITHMS, AggregateRow, BenchRecord, aggregate_records, run_bench, write_csv
 from .diffusion import DiffusionConfig, diffuse
 from .directional import inpaint_directional, render_directionality_overlay
-from .image_io import CODECS, ImageFormatError, codec, read_image, write_image
+from .image_io import CODECS, ImageFormatError, _require_pillow, codec, read_image, write_image, write_png
 from .kernels import diag_kernel, diamond_kernel
 from .masks import apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
@@ -35,28 +36,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(low, cast):
-    """argparse type for a bounded option: cast, then reject values below low."""
+def _bounded(low, cast, high=math.inf):
+    """argparse type for a bounded option: cast, then reject values outside [low, high]."""
 
     def parse(text):
         value = cast(text)
-        if not value >= low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if not low <= value <= high:
+            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # keeps argparse's "invalid float value" wording
     return parse
-
-
-def _fraction(text):
-    """argparse type for a fraction in [0, 1]."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
-
-
-_fraction.__name__ = "float"  # keeps argparse's "invalid float value" wording
 
 
 def _comma_list(item):
@@ -103,17 +94,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="inpaintkit", description="Grayscale image inpainting by masked kernel diffusion.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_in = sub.add_parser("inpaint", parents=[], help="reconstruct the missing pixels of one image")
+    p_in = sub.add_parser("inpaint", help="reconstruct the missing pixels of one image")
     p_in.add_argument("--algo", choices=("diffusion", "directional"), required=True)
     p_in.add_argument("--kernel", choices=tuple(KERNELS), default=None, help="diffusion only (default diamond)")
-    p_in.add_argument("--patch", type=_at_least(2, int), default=None, help="directional only: patch side length (default 16)")
+    p_in.add_argument("--patch", type=_bounded(2, int), default=None, help="directional only: patch side length (default 16)")
     p_in.add_argument("--in", dest="input", required=True, metavar="PATH")
     p_in.add_argument("--mask", required=True, metavar="PATH", help="image file; 0 = missing, nonzero = known")
     p_in.add_argument("--out", required=True, metavar="PATH")
     p_in.add_argument("--overlay", default=None, metavar="PATH", help="directional only: write an orientation overlay image")
-    p_in.add_argument("--epsilon", type=_at_least(0, float), default=1e-3)
-    p_in.add_argument("--max-iters", type=_at_least(1, int), default=10_000)
-    p_in.add_argument("--snapshot-every", type=_at_least(1, int), default=None, metavar="K", help="write the iterate every K iterations")
+    p_in.add_argument("--epsilon", type=_bounded(0, float), default=1e-3)
+    p_in.add_argument("--max-iters", type=_bounded(1, int), default=10_000)
+    p_in.add_argument("--snapshot-every", type=_bounded(1, int), default=None, metavar="K", help="write the iterate every K iterations")
     p_in.add_argument("--snapshot-dir", default=None, metavar="DIR")
     p_in.set_defaults(func=partial(cmd_inpaint, p_in))
 
@@ -121,10 +112,10 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--size", type=_size, required=True, metavar="ROWSxCOLS")
     p_gen.add_argument("--out", required=True, metavar="PATH")
     kind = p_gen.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--random", type=_fraction, metavar="FRACTION", help="missing pixel fraction in [0, 1]")
+    kind.add_argument("--random", type=_bounded(0, float, 1), metavar="FRACTION", help="missing pixel fraction in [0, 1]")
     kind.add_argument("--text", type=_non_empty)
-    p_gen.add_argument("--seed", type=_at_least(0, int), default=42)
-    p_gen.add_argument("--scale", type=_at_least(1, int), default=1)
+    p_gen.add_argument("--seed", type=_bounded(0, int), default=42)
+    p_gen.add_argument("--scale", type=_bounded(1, int), default=1)
     p_gen.set_defaults(func=cmd_genmask)
 
     p_bench = sub.add_parser("bench", help="benchmark algorithms over an image directory")
@@ -132,14 +123,14 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--out", required=True, metavar="CSV")
     p_bench.add_argument("--algos", type=_comma_list(_algorithm_id), default=tuple(ALGORITHMS), help="comma list of algorithm ids")
     p_bench.add_argument("--text", type=_non_empty, default=None, help="add a text mask with this text")
-    p_bench.add_argument("--scale", type=_at_least(1, int), default=2, help="text mask scale")
+    p_bench.add_argument("--scale", type=_bounded(1, int), default=2, help="text mask scale")
     p_bench.add_argument(
-        "--random-fractions", type=_comma_list(_fraction), default=(), metavar="F1,F2,...", help="add random masks at these missing fractions"
+        "--random-fractions", type=_comma_list(_bounded(0, float, 1)), default=(), metavar="F1,F2,...", help="add random masks at these missing fractions"
     )
-    p_bench.add_argument("--seed", type=_at_least(0, int), default=42)
+    p_bench.add_argument("--seed", type=_bounded(0, int), default=42)
     p_bench.add_argument("--aggregate-out", default=None, metavar="CSV", help="also write per-mask aggregate stats")
-    p_bench.add_argument("--epsilon", type=_at_least(0, float), default=1e-3)
-    p_bench.add_argument("--max-iters", type=_at_least(1, int), default=10_000)
+    p_bench.add_argument("--epsilon", type=_bounded(0, float), default=1e-3)
+    p_bench.add_argument("--max-iters", type=_bounded(1, int), default=10_000)
     p_bench.set_defaults(func=partial(cmd_bench, p_bench))
     return parser
 
@@ -148,10 +139,16 @@ def _warn_capped(max_iters: int, detail: str) -> None:
     print(f"inpaintkit: warning: stopped at max-iters {max_iters} without converging ({detail})", file=sys.stderr)
 
 
-def _require_output_dirs(*paths) -> None:
-    """Fail before any work when the directory of an output path does not exist, naming the path."""
+def _check_outputs(*paths, images: bool) -> None:
+    """Fail before any input is read if an output's directory is missing, or an image output's codec is unknown or cannot write here (PNG without Pillow)."""
     for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if images:
+            _, writer = codec(path)  # an unsupported extension raises here
+            if writer is write_png:
+                _require_pillow()
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"cannot write {path}: directory {Path(path).parent} does not exist")
 
 
@@ -162,12 +159,7 @@ def cmd_inpaint(parser, args) -> int:
     if (args.snapshot_every is None) != (args.snapshot_dir is None):
         parser.error("--snapshot-every and --snapshot-dir go together")
 
-    # an output that cannot be written fails before any input is read
-    for path in (args.out, args.overlay):
-        if path is not None:
-            codec(path)
-    _require_output_dirs(args.out, args.overlay)
-
+    _check_outputs(args.out, args.overlay, images=True)
     image = read_image(args.input)
     mask = mask_from_image(read_image(args.mask))
     config = DiffusionConfig(epsilon=args.epsilon, max_iters=args.max_iters)
@@ -175,12 +167,11 @@ def cmd_inpaint(parser, args) -> int:
 
     callback = None
     if args.snapshot_every is not None:
-        every = args.snapshot_every
         snap_dir = Path(args.snapshot_dir)
         snap_dir.mkdir(parents=True, exist_ok=True)
 
         def callback(iteration, current):
-            if iteration % every == 0:
+            if iteration % args.snapshot_every == 0:
                 write_image(current, snap_dir / f"iter{iteration:06d}.pgm")
 
     start = time.perf_counter()
@@ -202,6 +193,7 @@ def cmd_inpaint(parser, args) -> int:
 
 
 def cmd_genmask(args) -> int:
+    _check_outputs(args.out, images=True)
     rows, cols = args.size
     if args.random is not None:
         mask = random_mask(rows, cols, args.random, args.seed)
@@ -223,7 +215,7 @@ def cmd_bench(parser, args) -> int:
     if not masks:
         parser.error("no masks requested; give --text and/or --random-fractions")
 
-    _require_output_dirs(args.out, args.aggregate_out)
+    _check_outputs(args.out, args.aggregate_out, images=False)
     image_dir = Path(args.images)
     if not image_dir.is_dir():
         raise ImageFormatError(f"{image_dir} is not a directory")

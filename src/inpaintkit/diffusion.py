@@ -53,7 +53,8 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
         kernel: 3x3 non-negative weights; renormalized here defensively.
         config: convergence threshold and iteration cap.
         callback: optional hook called as callback(iteration, image) after
-            every update, with a copy of the current iterate.
+            every update, with a read-only view of the live iterate that is
+            valid until it returns; a caller that keeps an iterate copies it.
 
     Returns:
         DiffusionResult with the reconstruction, the number of iterations
@@ -65,7 +66,7 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
             or infinite pixel, known or missing.
     """
     damaged = as_image(damaged)
-    on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0].copy()))
+    on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0]))
     image, iterations, deltas, converged = _solve_windows(
         damaged, mask, np.array([[0, 0, *damaged.shape]]), [kernel], config, on_step
     )
@@ -78,9 +79,10 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     coords is a (P, 4) array of (top, left, height, width) rows.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
-    The stack is one gather from the zero-padded image, so a window's
-    first delta is the norm of its ring-extended window clipped to the
-    image; ghost cells are refreshed before every step. A step computes
+    Every stack is gathered from one zero-padded copy of the image before
+    any step, so a window's first delta is the norm of its ring-extended
+    window clipped to the image; ghost cells are refreshed before every
+    step, and the padded copy is gone by the first. A step computes
     the missing cells only: they are held as flat stack indices in
     window-major order, so each tap is a gather at a constant offset,
     their current values are kept beside the stack as one vector, and
@@ -90,7 +92,8 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     needed, and the segment starts are the counts' running sums,
     recomputed only when windows drop out. Each window stops on its own
     threshold or cap, and its cells are then dropped from the step.
-    on_step(counts, interiors), if given, is called after every step.
+    on_step(counts, interiors), if given, is called after every step
+    with the live counts and a read-only view of the live interiors.
     Returns the image with every interior written back in one
     assignment, and per region the iterations, final deltas and
     converged flags.
@@ -114,15 +117,16 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     cfg = config if config is not None else DiffusionConfig()
 
     out = image.copy()
+    groups = group_by_shape(coords)
+    padded = np.pad(image, 1)  # its window (t, l) is the region at (t, l) inside its ring
+    stacks = {(h, w): sliding_window_view(padded, (h + 2, w + 2))[coords[idx, 0], coords[idx, 1]] for (h, w), idx in groups.items()}
+    del padded
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
-    for (h, w), idx in group_by_shape(coords).items():
+    for (h, w), idx in groups.items():
         stride = w + 2
         tops, lefts = coords[idx, :2].T
-        # window (t, l) of the zero-padded image is the region at (t, l) inside
-        # its ring; ghost cells hold 0 until the first step refreshes them, so
-        # the first delta counts the cells inside the image only
-        win = sliding_window_view(np.pad(image, 1), (h + 2, w + 2))[tops, lefts]
+        win = stacks.pop((h, w))
         deltas[idx] = np.sqrt(np.sum(win * win, axis=(1, 2)))
         free = np.zeros(win.shape, dtype=bool)  # missing interior cells
         free[:, 1:-1, 1:-1] = sliding_window_view(mask, (h, w))[tops, lefts] == 0
@@ -152,6 +156,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         flat = win.reshape(-1)
         centre = flat[stride + 1 :]
         inner = win[:, 1:-1, 1:-1]
+        inner.flags.writeable = False  # on_step may read the live interiors, never write them
         acc, x, tmp = np.empty((3, len(cells)))
         np.take(centre, cells, out=x)  # the cells' current values
         while running.any():

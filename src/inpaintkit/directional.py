@@ -97,8 +97,9 @@ def inpaint_directional(
     kernel rotated to its angle. Known pixels pass through untouched.
 
     callback, if given, is passed to the estimate pass only and is called
-    as callback(iteration, image) after each of its iterations; the
-    per-patch runs do not report progress.
+    as callback(iteration, image) after each of its iterations, with a
+    read-only view of the live iterate as in diffuse; the per-patch runs
+    do not report progress.
     A patch_size that is not an integer raises TypeError, and one below 2
     ValueError, before any work is done.
     """

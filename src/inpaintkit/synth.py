@@ -35,13 +35,12 @@ def stripes(size: int, period: float, angle_deg: float, amplitude: float = 1.0, 
     return 0.5 + 0.5 * amplitude * wave
 
 
-def rings(size: int, period: float, amplitude: float = 1.0, center=None) -> np.ndarray:
-    """Concentric sinusoidal rings; orientation varies smoothly with position."""
+def rings(size: int, period: float) -> np.ndarray:
+    """Concentric sinusoidal rings of amplitude 0.62 about the image centre; orientation varies smoothly with position."""
     yy, xx = _coords(size)
-    if center is None:
-        center = ((size - 1) / 2.0, (size - 1) / 2.0)
-    r = np.hypot(yy - center[0], xx - center[1])
-    return 0.5 + 0.5 * amplitude * np.sin(2.0 * np.pi * r / period)
+    center = (size - 1) / 2.0
+    r = np.hypot(yy - center, xx - center)
+    return 0.5 + 0.5 * 0.62 * np.sin(2.0 * np.pi * r / period)
 
 
 def gradient(size: int, angle_deg: float = 30.0) -> np.ndarray:
@@ -63,8 +62,8 @@ def blobs(size: int, centers, sigma: float, amplitude: float = 1.0) -> np.ndarra
     return amplitude * out
 
 
-def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float, period: float = 12.0, amplitude: float = 0.62, hardness: float = 0.0) -> np.ndarray:
-    """Checkerboard of square zones alternating between two stripe angles.
+def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float) -> np.ndarray:
+    """Checkerboard of square zones alternating between two sinusoidal stripe angles, period 12 and amplitude 0.62.
 
     Orientation is locally clean but flips every `zone` pixels, so small
     analysis windows see one direction while windows straddling a zone
@@ -72,8 +71,8 @@ def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float, period
     """
     yy, xx = _coords(size)
     z = ((yy // zone).astype(int) + (xx // zone).astype(int)) % 2
-    a = stripes(size, period, angle_a, amplitude, hardness)
-    b = stripes(size, period, angle_b, amplitude, hardness)
+    a = stripes(size, 12.0, angle_a, 0.62)
+    b = stripes(size, 12.0, angle_b, 0.62)
     return np.where(z == 0, a, b)
 
 
@@ -108,15 +107,15 @@ def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
             bumps - bumps.mean(),
         ),
         "weave-axis": compose(
-            woven_stripes(size, zone, 0.0, 90.0, period=12.0, amplitude=0.62),
+            woven_stripes(size, zone, 0.0, 90.0),
             shading(150.0),
         ),
         "weave-diagonal": compose(
-            woven_stripes(size, zone, 45.0, 135.0, period=12.0, amplitude=0.62),
+            woven_stripes(size, zone, 45.0, 135.0),
             shading(20.0),
         ),
         "rings": compose(
-            rings(size, period=17.0, amplitude=0.62),
+            rings(size, period=17.0),
             bumps - bumps.mean(),
         ),
     }

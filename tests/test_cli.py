@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from inpaintkit import cli
 from inpaintkit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from inpaintkit.diffusion import DiffusionConfig
 from inpaintkit.directional import inpaint_directional
@@ -176,26 +178,47 @@ def test_io_errors_exit_2(workspace, tmp_path):
     assert main(["inpaint", "--algo", "diffusion", "--in", str(junk), "--mask", str(mask_path), "--out", out]) == EXIT_IO
 
 
-def test_inpaint_checks_its_outputs_before_reading_any_input(workspace, capsys):
+def test_inpaint_checks_its_outputs_before_reading_any_input(workspace, capsys, monkeypatch):
     tmp_path, image_path, mask_path, _ = workspace
+    monkeypatch.setitem(sys.modules, "PIL", None)  # no Pillow, whether or not it is installed
     overlay = tmp_path / "ov.pgm"
     snaps = tmp_path / "snaps"
     base = ["inpaint", "--algo", "directional", "--patch", "8", "--mask", str(mask_path)]
     base += ["--snapshot-every", "5", "--snapshot-dir", str(snaps)]
+    no_pillow = "PNG support needs Pillow"
     # the input does not exist either: the output check must come first
     for args, message in (
         (["--out", str(tmp_path / "r.jpg"), "--overlay", str(overlay)], "unsupported image extension '.jpg'"),
         (["--out", str(tmp_path / "r.pgm"), "--overlay", str(tmp_path / "ov.jpg")], "unsupported image extension '.jpg'"),
         (["--out", str(tmp_path / "nodir" / "r.pgm"), "--overlay", str(overlay)], f"cannot write {tmp_path / 'nodir' / 'r.pgm'}"),
+        (["--out", str(tmp_path / "r.png"), "--overlay", str(overlay)], no_pillow),
     ):
         assert main(base + ["--in", str(tmp_path / "nope.pgm"), *args]) == EXIT_IO
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
     # with a readable input, nothing is solved or written either
-    assert main(base + ["--in", str(image_path), "--out", str(tmp_path / "r.jpg"), "--overlay", str(overlay)]) == EXIT_IO
-    assert "unsupported image extension '.jpg'" in capsys.readouterr().err
-    assert not overlay.exists() and not snaps.exists() and not (tmp_path / "r.pgm").exists()
+    for out, message in (("r.jpg", "unsupported image extension '.jpg'"), ("r.png", no_pillow)):
+        assert main(base + ["--in", str(image_path), "--out", str(tmp_path / out), "--overlay", str(overlay)]) == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert not overlay.exists() and not snaps.exists() and not (tmp_path / out).exists()
     assert not list(tmp_path.rglob("iter*.pgm"))
+
+
+def test_genmask_checks_its_output_before_building_the_mask(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "PIL", None)  # no Pillow, whether or not it is installed
+    for builder in ("random_mask", "text_mask"):
+        monkeypatch.setattr(cli, builder, lambda *a, **k: pytest.fail("the mask was built before --out was checked"))
+    missing = tmp_path / "nodir" / "m.pgm"
+    for out, message in (
+        (missing, f"cannot write {missing}: directory {missing.parent} does not exist"),
+        (tmp_path / "m.jpg", "unsupported image extension '.jpg'"),
+        (tmp_path / "m.png", "PNG support needs Pillow"),
+    ):
+        for kind in (["--random", "0.5"], ["--text", "Hi"]):
+            assert main(["genmask", "--size", "8x8", "--out", str(out), *kind]) == EXIT_IO
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"inpaintkit: I/O error: {message}") and captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_checks_its_output_paths_before_any_run(tmp_path, capsys):

@@ -41,6 +41,10 @@ def test_as_mask_accepts_binary_and_rejects_other_values():
         as_mask([[0.5, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         as_mask([[0.0, 1.0], [1.0, np.nan]])
+    # like images, masks are non-empty and 2-D
+    for values in ([0, 1], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="expected a non-empty 2-D mask"):
+            as_mask(values)
 
 
 def test_require_same_shape():

@@ -172,10 +172,16 @@ def test_callback_sees_every_iteration():
     calls = []
     res = diffuse(damaged, mask, diamond_kernel(), callback=lambda i, cur: calls.append(i))
     assert calls == list(range(1, res.iterations + 1))
-    # each iterate handed out is the caller's own copy, still valid after the run
+    # each iterate handed out is a read-only view of the live iterate; a caller keeps it by copying it
     row = np.array([[0.0, 0.0, 0.0, 0.0, 1.0]])
     seen = []
-    res = diffuse(row, np.array([[1, 0, 0, 0, 1]]), diamond_kernel(), callback=lambda i, cur: seen.append(cur))
+
+    def keep(i, cur):
+        with pytest.raises(ValueError, match="read-only"):
+            cur[0, 0] = 1.0
+        seen.append(cur.copy())
+
+    res = diffuse(row, np.array([[1, 0, 0, 0, 1]]), diamond_kernel(), callback=keep)
     assert len(seen) == res.iterations > 2
     assert seen[0][0, 3] == 0.25 and seen[1][0, 3] == 0.375
     assert np.array_equal(seen[-1], res.image)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,22 @@ def test_pgm_16_bit_rejected(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P5 0 4 255\n", r"^bad dimensions 0x4$"),
+        (b"P5\n2 2\n0\n", r"^bad maxval 0$"),
+        (b"P5\n2 2\n255#", r"^missing whitespace after maxval at byte 10$"),
+    ],
+    ids=["zero-width", "zero-maxval", "no-whitespace"],
+)
+def test_bad_header_values_rejected(tmp_path, header, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + b"\x00" * 8)
+    with pytest.raises(ImageFormatError, match=message):
+        read_pgm(path)
+
+
 def test_color_ppm_rejected_with_guidance(tmp_path):
     path = tmp_path / "color.pgm"
     path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
@@ -124,6 +142,17 @@ def test_unknown_extension_rejected(tmp_path):
         read_image(tmp_path / "img.bmp")
     with pytest.raises(ImageFormatError, match="extension"):
         write_image(np.zeros((2, 2)), tmp_path / "img.tiff")
+
+
+def test_png_without_pillow_names_the_extra(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "PIL", None)  # no Pillow, whether or not it is installed
+    path = tmp_path / "img.png"
+    with pytest.raises(ImageFormatError, match=r"needs Pillow; install the png extra"):
+        write_image(np.zeros((2, 2)), path)
+    assert not path.exists()
+    path.write_bytes(b"\x89PNG\r\n\x1a\n")
+    with pytest.raises(ImageFormatError, match=r"needs Pillow; install the png extra"):
+        read_image(path)
 
 
 def test_png_roundtrip(tmp_path):

@@ -14,7 +14,7 @@ from inpaintkit.synth import blobs, compose, gradient, rings, standard_suite, st
 def test_generators_are_deterministic_and_bounded():
     for img in (
         stripes(32, period=8.0, angle_deg=30.0, amplitude=0.62, hardness=0.8),
-        rings(32, period=9.0, amplitude=0.62),
+        rings(32, period=9.0),
         gradient(32, angle_deg=45.0),
         blobs(32, [(0.5, 0.5)], sigma=8.0, amplitude=0.3),
         woven_stripes(32, 16.0, 0.0, 90.0),
@@ -43,6 +43,8 @@ def test_standard_suite_contents():
     again = standard_suite(64)
     for name in suite:
         assert np.array_equal(suite[name], again[name])
+    with pytest.raises(ValueError, match="size must be positive, got 0"):
+        standard_suite(0)
 
 
 # SHA-256 of each image's float64 bytes, recorded from the mgrid-based
