@@ -15,7 +15,7 @@ from pathlib import Path
 from .bench import ALGORITHMS, AggregateRow, BenchRecord, aggregate_records, run_bench, write_csv
 from .diffusion import DiffusionConfig, diffuse
 from .directional import inpaint_directional, render_directionality_overlay
-from .image_io import CODECS, ImageFormatError, _require_pillow, codec, read_image, write_image, write_png
+from .image_io import CODECS, ImageFormatError, codec, read_image, write_image
 from .kernels import diag_kernel, diamond_kernel
 from .masks import apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
@@ -139,15 +139,17 @@ def _warn_capped(max_iters: int, detail: str) -> None:
     print(f"inpaintkit: warning: stopped at max-iters {max_iters} without converging ({detail})", file=sys.stderr)
 
 
-def _check_outputs(*paths, images: bool) -> None:
-    """Fail before any input is read if an output's directory is missing, or an image output's codec is unknown or cannot write here (PNG without Pillow)."""
+def _check_outputs(*paths, images: bool, snapshot_dir=None) -> None:
+    """Fail before any input is read if an output's directory is missing, an image output has no codec usable here, or snapshot_dir cannot be made."""
+    if snapshot_dir is not None:
+        existing = next(p for p in (Path(snapshot_dir), *Path(snapshot_dir).parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"cannot make snapshot directory {snapshot_dir}: {existing} is not a directory")
     for path in paths:
         if path is None:
             continue
         if images:
-            _, writer = codec(path)  # an unsupported extension raises here
-            if writer is write_png:
-                _require_pillow()
+            codec(path)  # an unsupported extension, or .png without Pillow, raises here
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"cannot write {path}: directory {Path(path).parent} does not exist")
 
@@ -159,7 +161,7 @@ def cmd_inpaint(parser, args) -> int:
     if (args.snapshot_every is None) != (args.snapshot_dir is None):
         parser.error("--snapshot-every and --snapshot-dir go together")
 
-    _check_outputs(args.out, args.overlay, images=True)
+    _check_outputs(args.out, args.overlay, images=True, snapshot_dir=args.snapshot_dir)
     image = read_image(args.input)
     mask = mask_from_image(read_image(args.mask))
     config = DiffusionConfig(epsilon=args.epsilon, max_iters=args.max_iters)

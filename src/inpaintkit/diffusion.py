@@ -79,10 +79,9 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     coords is a (P, 4) array of (top, left, height, width) rows.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
-    Every stack is gathered from one zero-padded copy of the image before
-    any step, so a window's first delta is the norm of its ring-extended
-    window clipped to the image; ghost cells are refreshed before every
-    step, and the padded copy is gone by the first. A step computes
+    The stack is one gather from the zero-padded image, so a window's
+    first delta is the norm of its ring-extended window clipped to the
+    image; ghost cells are refreshed before every step. A step computes
     the missing cells only: they are held as flat stack indices in
     window-major order, so each tap is a gather at a constant offset,
     their current values are kept beside the stack as one vector, and
@@ -117,16 +116,15 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     cfg = config if config is not None else DiffusionConfig()
 
     out = image.copy()
-    groups = group_by_shape(coords)
-    padded = np.pad(image, 1)  # its window (t, l) is the region at (t, l) inside its ring
-    stacks = {(h, w): sliding_window_view(padded, (h + 2, w + 2))[coords[idx, 0], coords[idx, 1]] for (h, w), idx in groups.items()}
-    del padded
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
-    for (h, w), idx in groups.items():
+    for (h, w), idx in group_by_shape(coords).items():
         stride = w + 2
         tops, lefts = coords[idx, :2].T
-        win = stacks.pop((h, w))
+        # window (t, l) of the zero-padded image is the region at (t, l) inside
+        # its ring; ghost cells hold 0 until the first step refreshes them, so
+        # the first delta counts the cells inside the image only
+        win = sliding_window_view(np.pad(image, 1), (h + 2, w + 2))[tops, lefts]
         deltas[idx] = np.sqrt(np.sum(win * win, axis=(1, 2)))
         free = np.zeros(win.shape, dtype=bool)  # missing interior cells
         free[:, 1:-1, 1:-1] = sliding_window_view(mask, (h, w))[tops, lefts] == 0

@@ -130,10 +130,12 @@ CODECS = {
 
 
 def codec(path):
-    """The (reader, writer) pair for a path's extension; an unsupported one raises ImageFormatError."""
+    """The (reader, writer) pair for a path's extension; an unsupported one, or .png without Pillow, raises ImageFormatError."""
     suffix = Path(path).suffix.lower()
     if suffix not in CODECS:
         raise ImageFormatError(f"unsupported image extension {suffix!r} (use .pgm or .png)")
+    if suffix == ".png":
+        _require_pillow()
     return CODECS[suffix]
 
 

@@ -186,12 +186,16 @@ def test_inpaint_checks_its_outputs_before_reading_any_input(workspace, capsys, 
     base = ["inpaint", "--algo", "directional", "--patch", "8", "--mask", str(mask_path)]
     base += ["--snapshot-every", "5", "--snapshot-dir", str(snaps)]
     no_pillow = "PNG support needs Pillow"
+    snapfile = tmp_path / "snapfile"
+    snapfile.write_bytes(b"")
     # the input does not exist either: the output check must come first
     for args, message in (
         (["--out", str(tmp_path / "r.jpg"), "--overlay", str(overlay)], "unsupported image extension '.jpg'"),
         (["--out", str(tmp_path / "r.pgm"), "--overlay", str(tmp_path / "ov.jpg")], "unsupported image extension '.jpg'"),
         (["--out", str(tmp_path / "nodir" / "r.pgm"), "--overlay", str(overlay)], f"cannot write {tmp_path / 'nodir' / 'r.pgm'}"),
         (["--out", str(tmp_path / "r.png"), "--overlay", str(overlay)], no_pillow),
+        (["--out", str(tmp_path / "r.pgm"), "--snapshot-dir", str(snapfile)], f"cannot make snapshot directory {snapfile}: {snapfile} is not"),
+        (["--out", str(tmp_path / "r.pgm"), "--snapshot-dir", str(snapfile / "s")], f"directory {snapfile / 's'}: {snapfile} is not"),
     ):
         assert main(base + ["--in", str(tmp_path / "nope.pgm"), *args]) == EXIT_IO
         captured = capsys.readouterr()
