@@ -9,6 +9,7 @@ import argparse
 import math
 import sys
 import time
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -28,14 +29,6 @@ EXIT_NUMERIC = 3
 KERNELS = {"diamond": diamond_kernel, "diag": diag_kernel}
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags by default; the interface reserves
-    # 2 for I/O problems, so usage errors remap to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _bounded(low, cast, high=math.inf):
     """argparse type for a bounded option: cast, then reject values outside [low, high]."""
 
@@ -44,6 +37,8 @@ def _bounded(low, cast, high=math.inf):
         if not low <= value <= high:
             bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        if value == math.inf:  # "inf", or a float literal too large for a double, such as 1e400
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # keeps argparse's "invalid float value" wording
@@ -90,8 +85,14 @@ def _non_empty(text):
     return text
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="inpaintkit", description="Grayscale image inpainting by masked kernel diffusion.")
+def _solver_flags(parser) -> None:
+    """Add --epsilon and --max-iters to a subcommand, with DiffusionConfig's defaults."""
+    parser.add_argument("--epsilon", type=_bounded(0, float), default=DiffusionConfig.epsilon)
+    parser.add_argument("--max-iters", type=_bounded(1, int), default=DiffusionConfig.max_iters)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="inpaintkit", description="Grayscale image inpainting by masked kernel diffusion.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_in = sub.add_parser("inpaint", help="reconstruct the missing pixels of one image")
@@ -102,8 +103,7 @@ def build_parser() -> _Parser:
     p_in.add_argument("--mask", required=True, metavar="PATH", help="image file; 0 = missing, nonzero = known")
     p_in.add_argument("--out", required=True, metavar="PATH")
     p_in.add_argument("--overlay", default=None, metavar="PATH", help="directional only: write an orientation overlay image")
-    p_in.add_argument("--epsilon", type=_bounded(0, float), default=1e-3)
-    p_in.add_argument("--max-iters", type=_bounded(1, int), default=10_000)
+    _solver_flags(p_in)
     p_in.add_argument("--snapshot-every", type=_bounded(1, int), default=None, metavar="K", help="write the iterate every K iterations")
     p_in.add_argument("--snapshot-dir", default=None, metavar="DIR")
     p_in.set_defaults(func=partial(cmd_inpaint, p_in))
@@ -129,8 +129,7 @@ def build_parser() -> _Parser:
     )
     p_bench.add_argument("--seed", type=_bounded(0, int), default=42)
     p_bench.add_argument("--aggregate-out", default=None, metavar="CSV", help="also write per-mask aggregate stats")
-    p_bench.add_argument("--epsilon", type=_bounded(0, float), default=1e-3)
-    p_bench.add_argument("--max-iters", type=_bounded(1, int), default=10_000)
+    _solver_flags(p_bench)
     p_bench.set_defaults(func=partial(cmd_bench, p_bench))
     return parser
 
@@ -224,6 +223,9 @@ def cmd_bench(parser, args) -> int:
     paths = sorted(p for p in image_dir.iterdir() if p.suffix.lower() in CODECS)
     if not paths:
         raise ImageFormatError(f"no .pgm/.png images in {image_dir}")
+    repeated = sorted(i for i, n in Counter(p.stem for p in paths).items() if n > 1)
+    if repeated:
+        raise ImageFormatError(f"image ids are file stems and must be unique in {image_dir}; repeated: {', '.join(repeated)}")
     images = {p.stem: read_image(p) for p in paths}
 
     config = DiffusionConfig(epsilon=args.epsilon, max_iters=args.max_iters)
@@ -249,8 +251,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # argparse's own exits and every parser.error()
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error, every parser.error() included
+        return EXIT_USAGE if exc.code else EXIT_OK
     except (ImageFormatError, OSError) as exc:
         print(f"inpaintkit: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -28,8 +28,8 @@ class DiffusionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters"))
-        if not (self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+AMPLITUDE = 0.62  # peak-to-peak height of the stripes and rings about 0.5, leaving room in [0, 1] for shading
+
 
 def _coords(size: int):
     """Float row and column coordinates as a (size, 1) column and a (1, size) row that broadcast to (size, size)."""
@@ -18,9 +20,10 @@ def _coords(size: int):
     return np.ogrid[0.0:size, 0.0:size]
 
 
-def stripes(size: int, period: float, angle_deg: float, amplitude: float = 1.0, hardness: float = 0.0) -> np.ndarray:
-    """Sinusoidal stripes running along angle_deg (0 = horizontal stripes).
+def stripes(size: int, period: float, angle_deg: float | np.ndarray, hardness: float = 0.0) -> np.ndarray:
+    """Sinusoidal stripes in 0.5 +- AMPLITUDE / 2, running along angle_deg (0 = horizontal stripes).
 
+    angle_deg is one angle, or a (size, size) array of per-pixel angles.
     hardness in [0, 1) sharpens the profile toward a square wave by
     pushing the sinusoid through a scaled tanh; 0 keeps it sinusoidal.
     """
@@ -32,15 +35,15 @@ def stripes(size: int, period: float, angle_deg: float, amplitude: float = 1.0, 
     if hardness > 0.0:
         gain = 1.0 / (1.0 - hardness)
         wave = np.tanh(gain * wave) / np.tanh(gain)
-    return 0.5 + 0.5 * amplitude * wave
+    return 0.5 + 0.5 * AMPLITUDE * wave
 
 
 def rings(size: int, period: float) -> np.ndarray:
-    """Concentric sinusoidal rings of amplitude 0.62 about the image centre; orientation varies smoothly with position."""
+    """Concentric sinusoidal rings in 0.5 +- AMPLITUDE / 2 about the image centre; orientation varies smoothly with position."""
     yy, xx = _coords(size)
     center = (size - 1) / 2.0
     r = np.hypot(yy - center, xx - center)
-    return 0.5 + 0.5 * 0.62 * np.sin(2.0 * np.pi * r / period)
+    return 0.5 + 0.5 * AMPLITUDE * np.sin(2.0 * np.pi * r / period)
 
 
 def gradient(size: int, angle_deg: float = 30.0) -> np.ndarray:
@@ -53,17 +56,17 @@ def gradient(size: int, angle_deg: float = 30.0) -> np.ndarray:
     return g / peak if peak > 0 else np.zeros_like(g)
 
 
-def blobs(size: int, centers, sigma: float, amplitude: float = 1.0) -> np.ndarray:
-    """Sum of Gaussian bumps; centers are (row, col) pairs in [0, 1] units."""
+def blobs(size: int, centers, sigma: float) -> np.ndarray:
+    """Sum of unit-height Gaussian bumps; centers are (row, col) pairs in [0, 1] units."""
     yy, xx = _coords(size)
     out = np.zeros((size, size))
     for cy, cx in centers:
         out += np.exp(-(((yy - cy * size) ** 2 + (xx - cx * size) ** 2) / (2.0 * sigma**2)))
-    return amplitude * out
+    return out
 
 
 def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float) -> np.ndarray:
-    """Checkerboard of square zones alternating between two sinusoidal stripe angles, period 12 and amplitude 0.62.
+    """Checkerboard of square zones alternating between two stripe angles, period 12.
 
     Orientation is locally clean but flips every `zone` pixels, so small
     analysis windows see one direction while windows straddling a zone
@@ -71,17 +74,12 @@ def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float) -> np.
     """
     yy, xx = _coords(size)
     z = ((yy // zone).astype(int) + (xx // zone).astype(int)) % 2
-    a = stripes(size, 12.0, angle_a, 0.62)
-    b = stripes(size, 12.0, angle_b, 0.62)
-    return np.where(z == 0, a, b)
+    return stripes(size, 12.0, np.where(z == 0, angle_a, angle_b))
 
 
 def compose(*layers) -> np.ndarray:
     """Sum image layers and clip to [0, 1]."""
-    total = layers[0].astype(np.float64, copy=True)
-    for layer in layers[1:]:
-        total = total + layer
-    return np.clip(total, 0.0, 1.0)
+    return np.clip(sum(layers), 0.0, 1.0)
 
 
 def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
@@ -93,17 +91,16 @@ def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
     deliberately left out; it drowns the orientation statistics that the
     directional algorithm relies on.
     """
-    half = 0.5
-    shading = lambda ang: 0.25 * (gradient(size, ang) - half)  # noqa: E731
-    bumps = blobs(size, [(0.3, 0.7), (0.75, 0.25)], sigma=size / 5.0, amplitude=0.22)
+    shading = lambda ang: 0.25 * (gradient(size, ang) - 0.5)  # noqa: E731
+    bumps = 0.22 * blobs(size, [(0.3, 0.7), (0.75, 0.25)], sigma=size / 5.0)
     zone = max(size * 48.0 / 512.0, 16.0)
-    suite = {
+    return {
         "stripes-horizontal": compose(
-            stripes(size, period=14.0, angle_deg=0.0, amplitude=0.62, hardness=0.8),
+            stripes(size, period=14.0, angle_deg=0.0, hardness=0.8),
             shading(60.0),
         ),
         "stripes-diagonal": compose(
-            stripes(size, period=16.0, angle_deg=45.0, amplitude=0.62),
+            stripes(size, period=16.0, angle_deg=45.0),
             bumps - bumps.mean(),
         ),
         "weave-axis": compose(
@@ -119,4 +116,3 @@ def standard_suite(size: int = 512) -> dict[str, np.ndarray]:
             bumps - bumps.mean(),
         ),
     }
-    return suite

@@ -20,17 +20,21 @@ holds the exit code, stdout with the directory and the wall time cut
 out, and the SHA-256 of every file it wrote.
 
 `tests/test_golden.py` recomputes both matrices against
-`tests/golden.json` and `tests/golden_cli.json`. Write the manifests with
+`tests/golden.json` and `tests/golden_cli.json`. Write one manifest, or
+both, by naming it:
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py library   # golden.json
+    PYTHONPATH=src python tests/make_golden.py cli       # golden_cli.json
 
-only in a change that states why its outputs change and by how much
-(max abs pixel difference, MSE per image); never to make a failing
-change pass.
+Without a name nothing is written, so refreshing one manifest never
+rewrites the other. Write a manifest only in a change that states why
+its outputs change and by how much (max abs pixel difference, MSE per
+image); never to make a failing change pass.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -125,14 +129,26 @@ def golden_cli_runs(work: Path):
             yield f"{name}/{algo}", _cli_record(work / name / algo, argv + ["--snapshot-every", "3", "--snapshot-dir", "{out}/snaps"])
 
 
-def main() -> None:
-    runs = dict(golden_runs())
-    MANIFEST.write_text(json.dumps(runs, indent=1, sort_keys=False) + "\n")
-    print(f"wrote {len(runs)} runs to {MANIFEST}")
+def _cli_manifest_runs():
     with tempfile.TemporaryDirectory() as work:
-        runs = dict(golden_cli_runs(Path(work)))
-    CLI_MANIFEST.write_text(json.dumps(runs, indent=1, sort_keys=False) + "\n")
-    print(f"wrote {len(runs)} CLI runs to {CLI_MANIFEST}")
+        return dict(golden_cli_runs(Path(work)))
+
+
+# target name -> (manifest file, function returning its runs)
+TARGETS = {
+    "library": (MANIFEST, lambda: dict(golden_runs())),
+    "cli": (CLI_MANIFEST, _cli_manifest_runs),
+}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Write the named golden manifests; nothing is written without a name.")
+    parser.add_argument("targets", nargs="+", choices=tuple(TARGETS), help="manifest to write")
+    for name in dict.fromkeys(parser.parse_args(argv).targets):
+        path, make_runs = TARGETS[name]
+        runs = make_runs()
+        path.write_text(json.dumps(runs, indent=1, sort_keys=False) + "\n")
+        print(f"wrote {len(runs)} {name} runs to {path}")
 
 
 if __name__ == "__main__":

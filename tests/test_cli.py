@@ -165,6 +165,11 @@ def test_usage_errors_exit_1(workspace, capsys):
     for flag, value, bound in (("--patch", "1", "2"), ("--snapshot-every", "0", "1")):
         assert main(base + ["--algo", "directional", flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
+    # an infinite epsilon would skip the solve; 1e400 parses to inf as well
+    for value in ("inf", "1e400"):
+        assert main(base + ["--algo", "diffusion", "--epsilon", value]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument --epsilon: must be finite, got {value}\n")
+    assert not (tmp_path / "o.pgm").exists()
 
 
 def test_io_errors_exit_2(workspace, tmp_path):
@@ -249,6 +254,14 @@ def test_numeric_errors_exit_3(workspace, tmp_path):
     out = str(tmp_path / "o.pgm")
     code = main(["inpaint", "--algo", "diffusion", "--in", str(image_path), "--mask", str(small_mask), "--out", out])
     assert code == EXIT_NUMERIC
+
+
+def test_an_int_too_large_for_numpy_is_a_numeric_error(tmp_path, capsys):
+    # numpy raises OverflowError, an ArithmeticError, for an index of 20 or more digits
+    out = tmp_path / "m.pgm"
+    assert main(["genmask", "--size", "8x8", "--out", str(out), "--text", "hi", "--scale", "1" + "0" * 30]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("inpaintkit: numeric error: ")
+    assert not out.exists()
 
 
 def test_genmask_random_fraction(tmp_path, capsys):
@@ -395,9 +408,19 @@ def test_bench_usage_and_io_errors(tmp_path, capsys):
     ):
         assert main(base + [flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= {bound}, got {value}\n")
+    assert main(base + ["--epsilon", "inf"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: argument --epsilon: must be finite, got inf\n")
     # an empty image directory is an I/O error
     assert main(["bench", "--images", str(img_dir), "--out", csv_path, "--text", "x"]) == EXIT_IO
     assert main(["bench", "--images", str(tmp_path / "missing"), "--out", csv_path, "--text", "x"]) == EXIT_IO
+    # image ids are file stems: a.pgm and a.pnm would share one, so nothing is read or run
+    for name in ("a.pgm", "a.pnm", "b.pgm"):
+        write_image(np.full((8, 8), 0.5), img_dir / name)
+    capsys.readouterr()
+    assert main(["bench", "--images", str(img_dir), "--out", csv_path, "--text", "x"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "image ids are file stems and must be unique" in captured.err and "repeated: a\n" in captured.err
+    assert captured.out == "" and not (tmp_path / "r.csv").exists()
 
 
 def test_bench_rejects_a_bad_mask_request_before_any_run(tmp_path, capsys):

@@ -20,6 +20,10 @@ def test_config_validation():
         DiffusionConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         DiffusionConfig(max_iters=0)
+    # an infinite threshold would stop the loop before the first step
+    for eps in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            DiffusionConfig(epsilon=eps)
     cfg = DiffusionConfig()
     assert cfg.epsilon == 1e-3 and cfg.max_iters == 10_000
 
@@ -38,7 +42,7 @@ def _one_step(img, kernel):
     return diffuse(img, missing, kernel, DiffusionConfig(max_iters=1)).image
 
 
-def test_convolve_hand_values_with_replicate_border():
+def test_one_step_hand_values_with_replicate_border():
     img = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = _one_step(img, diamond_kernel())
     # each output pixel averages up/down/left/right with edge replication
@@ -51,7 +55,7 @@ def test_convolve_hand_values_with_replicate_border():
     assert np.allclose(out, expected, atol=1e-15)
 
 
-def test_convolve_identity_kernel():
+def test_one_step_with_identity_kernel_keeps_the_image():
     rng = np.random.default_rng(0)
     img = rng.uniform(size=(5, 7))
     k = np.zeros((3, 3))
@@ -59,7 +63,7 @@ def test_convolve_identity_kernel():
     assert np.array_equal(_one_step(img, k), img)
 
 
-def test_convolve_rejects_wrong_kernel_shape():
+def test_one_step_rejects_wrong_kernel_shape():
     with pytest.raises(ValueError, match="3x3"):
         _one_step(np.ones((4, 4)), np.ones((5, 5)))
 

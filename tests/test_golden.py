@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 
+import make_golden
+import pytest
 from make_golden import CLI_MANIFEST, MANIFEST, golden_cli_runs, golden_runs
 
 
@@ -34,3 +36,14 @@ def test_cli_outputs_match_the_cli_manifest(tmp_path):
             assert got["files"].get(name) == want["files"].get(name), f"first file that differs: {run_id}/{name}"
         assert got == want, f"first run that differs: {run_id}: got {got}, expected {want}"
     assert seen == list(expected), f"{CLI_MANIFEST.name} lists runs the matrix no longer makes"
+
+
+def test_make_golden_writes_only_the_named_manifests(tmp_path, monkeypatch):
+    targets = {name: (tmp_path / f"{name}.json", lambda name=name: {name: {}}) for name in make_golden.TARGETS}
+    monkeypatch.setattr(make_golden, "TARGETS", targets)
+    with pytest.raises(SystemExit) as exc:
+        make_golden.main([])
+    assert exc.value.code == 2 and not any(tmp_path.iterdir())
+    make_golden.main(["cli"])
+    assert [p.name for p in tmp_path.iterdir()] == ["cli.json"]
+    assert json.loads((tmp_path / "cli.json").read_text()) == {"cli": {}}

@@ -8,19 +8,36 @@ import numpy as np
 import pytest
 
 from inpaintkit.directionality import patch_angles
-from inpaintkit.synth import blobs, compose, gradient, rings, standard_suite, stripes, woven_stripes
+from inpaintkit.synth import AMPLITUDE, blobs, compose, gradient, rings, standard_suite, stripes, woven_stripes
 
 
 def test_generators_are_deterministic_and_bounded():
     for img in (
-        stripes(32, period=8.0, angle_deg=30.0, amplitude=0.62, hardness=0.8),
+        stripes(32, period=8.0, angle_deg=30.0, hardness=0.8),
         rings(32, period=9.0),
         gradient(32, angle_deg=45.0),
-        blobs(32, [(0.5, 0.5)], sigma=8.0, amplitude=0.3),
+        blobs(32, [(0.5, 0.5)], sigma=8.0),
         woven_stripes(32, 16.0, 0.0, 90.0),
     ):
         assert img.shape == (32, 32)
         assert np.isfinite(img).all()
+
+
+def test_stripes_and_rings_span_one_amplitude_about_half():
+    # period 8 samples the sine at its peaks, so the stripes reach 0.5 +- AMPLITUDE / 2 exactly
+    flat = stripes(32, period=8.0, angle_deg=0.0)
+    assert flat.min() == 0.5 - 0.5 * AMPLITUDE and flat.max() == 0.5 + 0.5 * AMPLITUDE
+    for img in (stripes(32, period=8.0, angle_deg=0.0, hardness=0.8), rings(64, period=9.0)):
+        assert 0.5 - AMPLITUDE / 2 <= img.min() < img.max() <= 0.5 + AMPLITUDE / 2
+    assert blobs(32, [(0.5, 0.5)], sigma=8.0).max() == 1.0  # unit height at a centre on the grid
+
+
+def test_woven_stripes_cut_two_stripe_images_by_zone():
+    # one stripes call over per-pixel angles equals the two whole images it selects between
+    yy, xx = np.ogrid[:40, :40]
+    first = (yy // 16 + xx // 16) % 2 == 0
+    expected = np.where(first, stripes(40, 12.0, 30.0), stripes(40, 12.0, 120.0))
+    assert np.array_equal(woven_stripes(40, 16.0, 30.0, 120.0), expected)
 
 
 def test_compose_clips_to_unit_range():
@@ -30,7 +47,7 @@ def test_compose_clips_to_unit_range():
 
 
 def test_stripe_orientation_is_detectable():
-    horizontal = stripes(16, period=4.0, angle_deg=0.0, amplitude=1.0, hardness=1.0 - 1e-9)
+    horizontal = stripes(16, period=4.0, angle_deg=0.0, hardness=1.0 - 1e-9)
     assert abs(patch_angles(horizontal[None])[0] - 90.0) < 5.0
 
 
