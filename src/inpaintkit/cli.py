@@ -1,6 +1,6 @@
 """Command line interface: inpaint, genmask and bench subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure or a failed allocation.
 """
 
 from __future__ import annotations
@@ -139,11 +139,12 @@ def _warn_capped(max_iters: int, detail: str) -> None:
 
 
 def _check_outputs(*paths, images: bool, snapshot_dir=None) -> None:
-    """Fail before any input is read if an output's directory is missing, an image output has no codec usable here, or snapshot_dir cannot be made."""
+    """Fail before any input is read if an output's directory is missing, an image output has no codec usable here, two outputs name one file, or snapshot_dir cannot be made."""
     if snapshot_dir is not None:
         existing = next(p for p in (Path(snapshot_dir), *Path(snapshot_dir).parents) if p.exists())
         if not existing.is_dir():
             raise NotADirectoryError(f"cannot make snapshot directory {snapshot_dir}: {existing} is not a directory")
+    written = {}
     for path in paths:
         if path is None:
             continue
@@ -151,6 +152,10 @@ def _check_outputs(*paths, images: bool, snapshot_dir=None) -> None:
             codec(path)  # an unsupported extension, or .png without Pillow, raises here
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"cannot write {path}: directory {Path(path).parent} does not exist")
+        target = Path(path).resolve()
+        if target in written:
+            raise OSError(f"cannot write {path}: {written[target]} names the same file")
+        written[target] = path
 
 
 def cmd_inpaint(parser, args) -> int:
@@ -256,8 +261,9 @@ def main(argv=None) -> int:
     except (ImageFormatError, OSError) as exc:
         print(f"inpaintkit: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
-        print(f"inpaintkit: numeric error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # a bare MemoryError() has no message of its own
+        print(f"inpaintkit: numeric error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -57,13 +57,15 @@ def split_into_patches(rows: int, cols: int, n: int) -> np.ndarray:
 
     Returns a read-only (P, 4) intp array of (top, left, height, width)
     rows. Trailing patches are clipped to the image boundary, so every
-    pixel belongs to exactly one patch.
+    pixel belongs to exactly one patch. An n past the image is clamped to
+    max(rows, cols): the one patch that covers the whole image.
     """
     n = as_int(n, "patch size")
     if n < 2:
         raise ValueError(f"patch size must be >= 2, got {n}")
     if rows < 1 or cols < 1:
         raise ValueError(f"image size must be positive, got {rows}x{cols}")
+    n = min(n, max(rows, cols))
     tops, lefts = np.meshgrid(np.arange(0, rows, n, dtype=np.intp), np.arange(0, cols, n, dtype=np.intp), indexing="ij")
     coords = np.stack([tops, lefts, np.minimum(n, rows - tops), np.minimum(n, cols - lefts)], axis=-1).reshape(-1, 4)
     coords.flags.writeable = False

@@ -100,12 +100,11 @@ def inpaint_directional(
     as callback(iteration, image) after each of its iterations, with a
     read-only view of the live iterate as in diffuse; the per-patch runs
     do not report progress.
-    A patch_size that is not an integer raises TypeError, and one below 2
-    ValueError, before any work is done.
+    patch_size goes through split_into_patches before any work is done:
+    one that is not an integer raises TypeError, one below 2 ValueError,
+    and one past the image gives the result of patch_size=max(rows, cols).
     """
-    patch_size = as_int(patch_size, "patch_size")
-    if patch_size < 2:
-        raise ValueError(f"patch size must be >= 2, got {patch_size}")
+    split_into_patches(*as_image(damaged).shape, as_int(patch_size, "patch_size"))
     estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
     grid = build_patch_grid(estimate.image, patch_size)
     patched = diffuse_patches(estimate.image, mask, grid, config)

@@ -44,7 +44,10 @@ def text_mask(rows: int, cols: int, text: str, scale: int = 1) -> np.ndarray:
     The text tiles the whole image starting at the origin, advancing
     GLYPH_ADVANCE * scale columns per character and LINE_ADVANCE * scale
     rows per line; the character stream continues across line breaks.
-    Characters without a glyph render blank but still advance.
+    Characters without a glyph render blank but still advance. A scale
+    past the image is clamped to max(rows, cols): every pixel then reads
+    the first glyph cell's corner. A mask too large for numpy to index
+    raises ValueError.
     """
     rows, cols, scale = as_int(rows, "rows"), as_int(cols, "cols"), as_int(scale, "scale")
     if rows < 1 or cols < 1:
@@ -53,11 +56,12 @@ def text_mask(rows: int, cols: int, text: str, scale: int = 1) -> np.ndarray:
         raise ValueError(f"scale must be >= 1, got {scale}")
     if not text:
         raise ValueError("text must be non-empty")
-    lines = -(-rows // (LINE_ADVANCE * scale))
-    per_line = -(-cols // (GLYPH_ADVANCE * scale))
+    scale = min(scale, max(rows, cols))
+    r, c = np.arange(rows) // scale, np.arange(cols) // scale
+    lines, per_line = r[-1] // LINE_ADVANCE + 1, c[-1] // GLYPH_ADVANCE + 1
     cells = GLYPH_CELLS[np.resize([GLYPH_INDEX.get(ch, 0) for ch in text], (lines, per_line))]
     ink = cells.transpose(0, 2, 1, 3).reshape(lines * LINE_ADVANCE, per_line * GLYPH_ADVANCE)
-    return 1 - ink[np.arange(rows)[:, None] // scale, np.arange(cols) // scale]
+    return 1 - ink[r[:, None], c]
 
 
 def apply_damage(img, mask) -> np.ndarray:

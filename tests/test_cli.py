@@ -256,12 +256,63 @@ def test_numeric_errors_exit_3(workspace, tmp_path):
     assert code == EXIT_NUMERIC
 
 
-def test_an_int_too_large_for_numpy_is_a_numeric_error(tmp_path, capsys):
-    # numpy raises OverflowError, an ArithmeticError, for an index of 20 or more digits
+def test_a_size_past_the_image_is_clamped_and_one_too_large_to_index_exits_3(workspace, capsys):
+    tmp_path, image_path, mask_path, _ = workspace
+    # a --scale past the mask reads the first glyph cell's corner, as --scale 8 does on 8x8
+    for name, scale in (("huge.pgm", "1" + "0" * 30), ("side.pgm", "8")):
+        assert main(["genmask", "--size", "8x8", "--out", str(tmp_path / name), "--text", "hi", "--scale", scale]) == EXIT_OK
+    assert (tmp_path / "huge.pgm").read_bytes() == (tmp_path / "side.pgm").read_bytes()
+    # a --patch past the image is the one patch that covers it
+    base = ["inpaint", "--algo", "directional", "--in", str(image_path), "--mask", str(mask_path)]
+    for name, patch in (("huge", "1" + "0" * 29), ("side", "32")):
+        out, overlay = str(tmp_path / f"{name}-r.pgm"), str(tmp_path / f"{name}-o.pgm")
+        assert main(base + ["--patch", patch, "--out", out, "--overlay", overlay]) == EXIT_OK
+    for kind in ("r", "o"):
+        assert (tmp_path / f"huge-{kind}.pgm").read_bytes() == (tmp_path / f"side-{kind}.pgm").read_bytes()
+    # a mask too large for numpy to index is a numeric error, with nothing written
+    capsys.readouterr()
     out = tmp_path / "m.pgm"
-    assert main(["genmask", "--size", "8x8", "--out", str(out), "--text", "hi", "--scale", "1" + "0" * 30]) == EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("inpaintkit: numeric error: ")
+    assert main(["genmask", "--size", "8x1" + "0" * 29, "--out", str(out), "--text", "hi"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == "inpaintkit: numeric error: Maximum allowed size exceeded\n" and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 58.2 TiB")])
+def test_a_failed_allocation_exits_3(tmp_path, capsys, monkeypatch, error):
+    # the real `genmask --size 8x999999999999 --random 0.5` fails the same way, but must never run here
+    def allocate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "random_mask", allocate)
+    out = tmp_path / "m.pgm"
+    assert main(["genmask", "--size", "8x999999999999", "--out", str(out), "--random", "0.5"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == f"inpaintkit: numeric error: {str(error) or 'MemoryError'}\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_inpaint_rejects_two_outputs_naming_one_file(workspace, capsys, monkeypatch):
+    tmp_path, image_path, mask_path, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "read_image", lambda path: pytest.fail("an input was read before the outputs were checked"))
+    argv = ["inpaint", "--algo", "directional", "--in", str(image_path), "--mask", str(mask_path)]
+    assert main(argv + ["--out", "o.pgm", "--overlay", "./o.pgm"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == "inpaintkit: I/O error: cannot write ./o.pgm: o.pgm names the same file\n" and captured.out == ""
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_bench_rejects_two_outputs_naming_one_file(tmp_path, capsys, monkeypatch):
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    write_image(np.random.default_rng(57).uniform(size=(16, 16)), img_dir / "one.pgm")
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--images", "images", "--text", "Hi", "--algos", "diffusion-diamond"]
+    assert main(argv + ["--out", "r.csv", "--aggregate-out", "./r.csv"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == "inpaintkit: I/O error: cannot write ./r.csv: r.csv names the same file\n" and captured.out == ""
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_genmask_random_fraction(tmp_path, capsys):

@@ -102,6 +102,15 @@ def test_split_rejects_tiny_patch_size():
         split_into_patches(0, 8, 4)
 
 
+def test_split_clamps_a_patch_past_the_image():
+    assert np.array_equal(split_into_patches(8, 8, 10**30), split_into_patches(8, 8, 8))
+    # a wide or tall image is one patch, not one per shorter side
+    for rows, cols in ((5, 9), (9, 5), (1, 1)):
+        for n in (max(rows, cols, 2), max(rows, cols) + 1, 10**30):
+            coords = split_into_patches(rows, cols, n)
+            assert coords.tolist() == [[0, 0, rows, cols]] and not coords.flags.writeable
+
+
 def test_group_by_shape_keeps_first_seen_order():
     # 5x6 with patch 4: full, clipped right, clipped bottom, clipped corner
     coords = split_into_patches(5, 6, 4)

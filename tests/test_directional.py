@@ -127,6 +127,34 @@ def test_patch_size_is_checked_before_the_estimate_pass():
     assert calls == []
 
 
+def test_a_patch_past_the_image_is_one_whole_image_patch():
+    rng = np.random.default_rng(24)
+    mask = random_mask(12, 20, 0.4, seed=14)
+    damaged = apply_damage(rng.uniform(size=(12, 20)), mask)
+    whole = inpaint_directional(damaged, mask, patch_size=20)
+    huge = inpaint_directional(damaged, mask, patch_size=10**30)
+    assert np.array_equal(huge.image, whole.image) and huge.iterations == whole.iterations
+    assert huge.grid.coords.tolist() == [[0, 0, 12, 20]]
+    for name in ("coords", "angles", "kernels"):
+        assert np.array_equal(getattr(huge.grid, name), getattr(whole.grid, name))
+
+
+def test_a_zero_patch_beside_a_bright_one_steps_from_its_halo():
+    # a patch's first delta spans its halo: a zero interior under a bright
+    # neighbour has not converged before its first step
+    base = np.zeros((8, 8))
+    base[:4] = 1.0
+    mask = np.ones((8, 8), dtype=np.uint8)
+    mask[4:6, 2:6] = 0
+    coords = split_into_patches(8, 8, 4)
+    grid = PatchGrid(coords, np.zeros(len(coords)), (diamond_kernel(),) * len(coords))
+    cfg = DiffusionConfig()
+    res = diffuse_patches(base, mask, grid, cfg)
+    ref, counts, _ = patch_loop(base, mask, [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)], cfg.epsilon, cfg.max_iters)
+    assert np.array_equal(res.image, ref) and res.iterations == sum(counts)
+    assert (res.image[4:6, 2:6] > 0).all()
+
+
 def test_known_pixels_pass_through_untouched():
     rng = np.random.default_rng(14)
     img = rng.uniform(size=(33, 27))

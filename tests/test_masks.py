@@ -147,6 +147,22 @@ def test_text_mask_validation():
             text_mask(**{"rows": 16, "cols": 16, "text": "x", **kwargs})
 
 
+def test_text_mask_clamps_a_scale_past_the_image():
+    # any scale of at least the longer side reads glyph-cell pixel (0, 0) everywhere
+    assert np.array_equal(text_mask(8, 8, "hi", 10**41), text_mask(8, 8, "hi", 8))
+    for rows, cols, text in ((8, 20, "hi"), (20, 8, "Lorem"), (1, 3, "I")):
+        want = text_mask_loop(rows, cols, text, max(rows, cols), FONT)
+        for scale in (max(rows, cols), max(rows, cols) + 1, 10**30):
+            assert np.array_equal(text_mask(rows, cols, text, scale), want), (rows, cols, scale)
+
+
+def test_text_mask_too_large_to_index_is_a_value_error():
+    # numpy refuses the index array itself, before any glyph is tiled
+    for rows, cols in ((8, 10**30), (10**30, 8)):
+        with pytest.raises(ValueError, match="Maximum allowed size exceeded"):
+            text_mask(rows, cols, "hi")
+
+
 def test_apply_damage_zeroes_missing_pixels():
     img = np.full((3, 3), 0.8)
     mask = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], dtype=np.uint8)
