@@ -104,7 +104,8 @@ def inpaint_directional(
     one that is not an integer raises TypeError, one below 2 ValueError,
     and one past the image gives the result of patch_size=max(rows, cols).
     """
-    split_into_patches(*as_image(damaged).shape, as_int(patch_size, "patch_size"))
+    patch_size = as_int(patch_size, "patch_size")
+    split_into_patches(*as_image(damaged).shape, patch_size)
     estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
     grid = build_patch_grid(estimate.image, patch_size)
     patched = diffuse_patches(estimate.image, mask, grid, config)

@@ -4,7 +4,7 @@ Each row of MUTANTS is one deliberate bug: a file, an exact text that
 occurs once in it, the text that replaces it, and the bug it stands for.
 Run from anywhere, with pytest installed:
 
-    python tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python tests/mutants.py
 
 The runner copies src/, tests/ and pyproject.toml into a fresh temporary
 directory per run, so the checkout is never edited and no stale bytecode
@@ -12,10 +12,9 @@ is reused. It first requires the unmutated copy to import inpaintkit from
 the copy and to pass the targeted test files (SUBSET). It then applies
 each mutant alone and runs SUBSET with -x. A mutant is killed only when
 pytest exits 1, that is when a test fails; a collection error, a crash or
-a run past the timeout is not a kill. The default per-mutant timeout is
-five times the unmutated run, and at least 30 s. Prints one line per
-mutant with its outcome and seconds; exits 0 only if every mutant
-selected is killed.
+a run past the timeout is not a kill. The per-mutant timeout is five
+times the unmutated run, and at least 30 s. Prints one line per mutant
+with its outcome and seconds; exits 0 only if every mutant is killed.
 
 tests/test_mutants.py checks in tier-1 that every old text still occurs
 exactly once, so a refactor that moves the code has to re-home its
@@ -24,7 +23,6 @@ mutants.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -139,8 +137,8 @@ MUTANTS = (
     Mutant(
         "patch-size-checked-after-estimate",
         "src/inpaintkit/directional.py",
-        'split_into_patches(*as_image(damaged).shape, as_int(patch_size, "patch_size"))',
-        'as_int(patch_size, "patch_size")',
+        "split_into_patches(*as_image(damaged).shape, patch_size)",
+        "as_image(damaged).shape",
         "a patch size below 2 is refused only after the estimate pass has run",
     ),
 )
@@ -183,27 +181,18 @@ def _run_subset(mutant: Mutant | None, timeout: float | None) -> tuple[str, floa
     return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})"), seconds
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Apply each mutant to a copy of the package and require a targeted test to fail.")
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default all)")
-    parser.add_argument("--timeout", type=float, default=None, help="seconds per mutant (default 5x the unmutated run, at least 30)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
-    selected = [m for m in MUTANTS if not args.names or m.name in args.names]
-
+def main() -> int:
     outcome, seconds = _run_subset(None, None)
     print(f"{'unmutated':<34} {outcome:<10} {seconds:6.1f} s")
     if outcome != "passed":
         return 1
-    timeout = args.timeout if args.timeout is not None else max(30.0, 5 * seconds)
+    timeout = max(30.0, 5 * seconds)
     survivors = 0
-    for mutant in selected:
+    for mutant in MUTANTS:
         outcome, seconds = _run_subset(mutant, timeout)
         survivors += outcome != "killed"
         print(f"{mutant.name:<34} {outcome:<10} {seconds:6.1f} s  {mutant.bug}", flush=True)
-    print(f"{len(selected) - survivors} of {len(selected)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 

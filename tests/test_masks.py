@@ -159,7 +159,7 @@ def test_text_mask_clamps_a_scale_past_the_image():
 def test_text_mask_too_large_to_index_is_a_value_error():
     # numpy refuses the index array itself, before any glyph is tiled
     for rows, cols in ((8, 10**30), (10**30, 8)):
-        with pytest.raises(ValueError, match="Maximum allowed size exceeded"):
+        with pytest.raises(ValueError):
             text_mask(rows, cols, "hi")
 
 
