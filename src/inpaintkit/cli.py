@@ -7,16 +7,20 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from collections import Counter
 from functools import partial
+from inspect import signature
 from pathlib import Path
+
+import numpy as np
 
 from .bench import ALGORITHMS, AggregateRow, BenchRecord, aggregate_records, run_bench, write_csv
 from .diffusion import DiffusionConfig, diffuse
 from .directional import inpaint_directional, render_directionality_overlay
-from .image_io import CODECS, ImageFormatError, codec, read_image, write_image
+from .image_io import CODECS, ImageFormatError, codec, quantize, read_image, write_image, write_pgm_raster
 from .kernels import diag_kernel, diamond_kernel
 from .masks import apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
@@ -27,6 +31,9 @@ EXIT_NUMERIC = 3
 
 # --kernel choices for --algo diffusion (default diamond)
 KERNELS = {"diamond": diamond_kernel, "diag": diag_kernel}
+
+# the file name of the snapshot of iteration n, in --snapshot-dir
+SNAPSHOT_NAME = "iter{:06d}.pgm"
 
 
 def _bounded(low, cast, high=math.inf):
@@ -98,7 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_in = sub.add_parser("inpaint", help="reconstruct the missing pixels of one image")
     p_in.add_argument("--algo", choices=("diffusion", "directional"), required=True)
     p_in.add_argument("--kernel", choices=tuple(KERNELS), default=None, help="diffusion only (default diamond)")
-    p_in.add_argument("--patch", type=_bounded(2, int), default=None, help="directional only: patch side length (default 16)")
+    p_in.add_argument(
+        "--patch",
+        type=_bounded(2, int),
+        default=None,
+        help=f"directional only: patch side length (default {signature(inpaint_directional).parameters['patch_size'].default})",
+    )
     p_in.add_argument("--in", dest="input", required=True, metavar="PATH")
     p_in.add_argument("--mask", required=True, metavar="PATH", help="image file; 0 = missing, nonzero = known")
     p_in.add_argument("--out", required=True, metavar="PATH")
@@ -138,9 +150,23 @@ def _warn_capped(max_iters: int, detail: str) -> None:
     print(f"inpaintkit: warning: stopped at max-iters {max_iters} without converging ({detail})", file=sys.stderr)
 
 
-def _check_outputs(*paths, images: bool, snapshot_dir=None) -> None:
-    """Fail before any input is read if an output's directory is missing, an image output has no codec usable here, two outputs name one file, or snapshot_dir cannot be made."""
-    if snapshot_dir is not None:
+def _snapshot_iteration(target: Path, snapshots) -> int | None:
+    """n if the resolved path target is the snapshot file of iteration n that snapshots = (dir, every K, max iterations) may write, else None."""
+    snapshot_dir, every, max_iters = snapshots
+    found = re.fullmatch(r"iter(\d+)\.pgm", target.name)
+    if found is None or target.parent != Path(snapshot_dir).resolve():
+        return None
+    n = int(found[1])
+    return n if SNAPSHOT_NAME.format(n) == target.name and 0 < n <= max_iters and n % every == 0 else None
+
+
+def _check_outputs(*paths, images: bool, snapshots=None) -> None:
+    """Fail before any input is read if an output's directory is missing, an image output has no codec usable here, two outputs name one file, the snapshot directory cannot be made, or an output is a file a snapshot writes.
+
+    snapshots is None or (snapshot directory, every K iterations, max iterations).
+    """
+    if snapshots is not None:
+        snapshot_dir = snapshots[0]
         existing = next(p for p in (Path(snapshot_dir), *Path(snapshot_dir).parents) if p.exists())
         if not existing.is_dir():
             raise NotADirectoryError(f"cannot make snapshot directory {snapshot_dir}: {existing} is not a directory")
@@ -155,6 +181,9 @@ def _check_outputs(*paths, images: bool, snapshot_dir=None) -> None:
         target = Path(path).resolve()
         if target in written:
             raise OSError(f"cannot write {path}: {written[target]} names the same file")
+        iteration = None if snapshots is None else _snapshot_iteration(target, snapshots)
+        if iteration is not None:
+            raise OSError(f"cannot write {path}: the snapshot of iteration {iteration} names the same file")
         written[target] = path
 
 
@@ -165,28 +194,39 @@ def cmd_inpaint(parser, args) -> int:
     if (args.snapshot_every is None) != (args.snapshot_dir is None):
         parser.error("--snapshot-every and --snapshot-dir go together")
 
-    _check_outputs(args.out, args.overlay, images=True, snapshot_dir=args.snapshot_dir)
+    snapshots = None if args.snapshot_dir is None else (args.snapshot_dir, args.snapshot_every, args.max_iters)
+    _check_outputs(args.out, args.overlay, images=True, snapshots=snapshots)
     image = read_image(args.input)
     mask = mask_from_image(read_image(args.mask))
     config = DiffusionConfig(epsilon=args.epsilon, max_iters=args.max_iters)
     damaged = apply_damage(image, mask)
+    del image  # the run reads only damaged; dropping the input lowers its peak memory by one float image
 
     callback = None
     if args.snapshot_every is not None:
         snap_dir = Path(args.snapshot_dir)
         snap_dir.mkdir(parents=True, exist_ok=True)
+        # known pixels never change, so they are quantized once; a snapshot
+        # re-quantizes only the missing pixels into this frame and writes it.
+        # The iterate is a strided view, read by (row, col) pairs; the frame
+        # is contiguous, and flat indices write it about 3x faster than pairs.
+        frame = quantize(damaged)
+        frame_pixels = frame.reshape(-1)  # a view of frame
+        missing = np.nonzero(mask == 0)
+        missing_flat = np.ravel_multi_index(missing, frame.shape)
 
         def callback(iteration, current):
             if iteration % args.snapshot_every == 0:
-                write_image(current, snap_dir / f"iter{iteration:06d}.pgm")
+                frame_pixels[missing_flat] = quantize(current[missing])
+                write_pgm_raster(frame, snap_dir / SNAPSHOT_NAME.format(iteration))
 
     start = time.perf_counter()
     if args.algo == "diffusion":
         res = diffuse(damaged, mask, KERNELS[args.kernel or "diamond"](), config, callback=callback)
     else:
-        patch = 16 if args.patch is None else args.patch
+        patch = {} if args.patch is None else {"patch_size": args.patch}
         # snapshots track the estimate pass of the directional pipeline
-        res = inpaint_directional(damaged, mask, patch, config, callback=callback)
+        res = inpaint_directional(damaged, mask, config=config, callback=callback, **patch)
         if args.overlay is not None:
             write_image(render_directionality_overlay(res.image, res.grid), args.overlay)
     wall = time.perf_counter() - start

@@ -26,9 +26,10 @@ class ImageFormatError(ValueError):
 
 
 def quantize(img) -> np.ndarray:
-    """Map [0, 1] intensities to uint8, rounding and clipping."""
-    img = as_image(img)
-    q = img * 255.0  # the one float temporary, rounded and clipped in place
+    """Map [0, 1] intensities to uint8, rounding and clipping each element on its own; any shape."""
+    img = np.asarray(img, dtype=np.float64)
+    # the one float temporary, rounded and clipped in place; out= keeps a 0-d input an array
+    q = np.multiply(img, 255.0, out=np.empty_like(img))
     np.rint(q, out=q)
     np.clip(q, 0, 255, out=q)
     return q.astype(np.uint8)
@@ -83,10 +84,22 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(img, path) -> None:
-    """Write a [0, 1] float image as binary PGM (P5, maxval 255)."""
-    q = quantize(img)
-    header = f"P5\n{q.shape[1]} {q.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + q.tobytes())
+    """Write a [0, 1] float image as binary PGM (P5, maxval 255): quantize it, then write_pgm_raster."""
+    write_pgm_raster(quantize(as_image(img)), path)
+
+
+def write_pgm_raster(raster: np.ndarray, path) -> None:
+    """Write a 2-D uint8 array as binary PGM (P5, maxval 255).
+
+    The header goes to the file first, then the raster in C order straight
+    from the array's buffer, with no bytes copy of it. This is the one PGM
+    writer: write_pgm quantizes and calls it, and a caller that keeps a
+    quantized frame (the CLI's snapshots) calls it directly.
+    """
+    raster = np.ascontiguousarray(raster)  # no copy when already C-ordered
+    with open(path, "wb") as f:
+        f.write(f"P5\n{raster.shape[1]} {raster.shape[0]}\n255\n".encode("ascii"))
+        f.write(raster)
 
 
 def _require_pillow():
@@ -118,7 +131,7 @@ def read_png(path) -> np.ndarray:
 def write_png(img, path) -> None:
     """Write a [0, 1] float image as 8-bit grayscale PNG."""
     pil = _require_pillow()
-    pil.fromarray(quantize(img), mode="L").save(Path(path), format="PNG")
+    pil.fromarray(quantize(as_image(img)), mode="L").save(Path(path), format="PNG")
 
 
 # suffix -> (reader, writer); .pnm is read and written as PGM

@@ -141,6 +141,13 @@ MUTANTS = (
         "as_image(damaged).shape",
         "a patch size below 2 is refused only after the estimate pass has run",
     ),
+    Mutant(
+        "stale-snapshot-frame",
+        "src/inpaintkit/cli.py",
+        "frame_pixels[missing_flat] = quantize(current[missing])",
+        "if iteration == args.snapshot_every: frame_pixels[missing_flat] = quantize(current[missing])",
+        "the CLI's snapshot frame takes the missing pixels on the first snapshot only, so later snapshots repeat it",
+    ),
 )
 
 

@@ -10,9 +10,10 @@ import pytest
 
 from inpaintkit import cli
 from inpaintkit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from inpaintkit.diffusion import DiffusionConfig
+from inpaintkit.diffusion import DiffusionConfig, diffuse
 from inpaintkit.directional import inpaint_directional
 from inpaintkit.image_io import quantize, read_image, write_image
+from inpaintkit.kernels import diamond_kernel
 from inpaintkit.masks import apply_damage, mask_to_image, random_mask, text_mask
 from inpaintkit.synth import stripes
 
@@ -124,6 +125,40 @@ def test_inpaint_snapshots_every_k_iterations(workspace, algo):
         assert len(snaps) == res.estimate.iterations // 5
 
 
+@pytest.mark.parametrize("missing", ["text", "none", "all"])
+@pytest.mark.parametrize("algo", ["diffusion", "directional"])
+def test_each_snapshot_is_the_library_iterate_written_whole(tmp_path, algo, missing):
+    # the CLI quantizes the known pixels once and rewrites only the missing ones per snapshot;
+    # every file must still equal write_image of the iterate that a library callback sees
+    rows, cols = 21, 30
+    mask = {"text": text_mask(rows, cols, "Hi", 2), "none": np.ones((rows, cols), np.uint8), "all": np.zeros((rows, cols), np.uint8)}[missing]
+    image_path, mask_path = tmp_path / "image.pgm", tmp_path / "mask.pgm"
+    write_image(np.random.default_rng(43).uniform(size=(rows, cols)), image_path)
+    write_image(mask_to_image(mask), mask_path)
+    config = DiffusionConfig(epsilon=1e-4, max_iters=40)
+    argv = ["inpaint", "--algo", algo, "--in", str(image_path), "--mask", str(mask_path), "--out", str(tmp_path / "out.pgm")]
+    argv += ["--epsilon", "1e-4", "--max-iters", "40", "--snapshot-every", "1", "--snapshot-dir", str(tmp_path / "snaps")]
+    assert main(argv) == EXIT_OK
+
+    expected = tmp_path / "expected"
+    expected.mkdir()
+
+    def keep(iteration, current):
+        write_image(current.copy(), expected / f"iter{iteration:06d}.pgm")
+
+    damaged = apply_damage(read_image(image_path), mask)
+    if algo == "diffusion":
+        diffuse(damaged, mask, diamond_kernel(), config, callback=keep)
+    else:
+        inpaint_directional(damaged, mask, config=config, callback=keep)
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in (tmp_path / "snaps").iterdir()) == names
+    # the text mask runs to the cap, nothing moves without a missing pixel, and an all-zero start is converged
+    assert len(names) == {"text": 40, "none": 1, "all": 0}[missing]
+    for name in names:
+        assert (tmp_path / "snaps" / name).read_bytes() == (expected / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("algo", ["diffusion", "directional"])
 def test_inpaint_warns_when_max_iters_stops_it(workspace, capsys, algo):
     tmp_path, image_path, mask_path, _ = workspace
@@ -201,6 +236,8 @@ def test_inpaint_checks_its_outputs_before_reading_any_input(workspace, capsys, 
         (["--out", str(tmp_path / "r.png"), "--overlay", str(overlay)], no_pillow),
         (["--out", str(tmp_path / "r.pgm"), "--snapshot-dir", str(snapfile)], f"cannot make snapshot directory {snapfile}: {snapfile} is not"),
         (["--out", str(tmp_path / "r.pgm"), "--snapshot-dir", str(snapfile / "s")], f"directory {snapfile / 's'}: {snapfile} is not"),
+        (["--out", str(tmp_path / "iter000005.pgm"), "--snapshot-dir", str(tmp_path)], f"cannot write {tmp_path / 'iter000005.pgm'}: the snapshot of iteration 5 names"),
+        (["--out", str(tmp_path / "r.pgm"), "--overlay", str(tmp_path / "iter000010.pgm"), "--snapshot-dir", str(tmp_path)], "the snapshot of iteration 10 names"),
     ):
         assert main(base + ["--in", str(tmp_path / "nope.pgm"), *args]) == EXIT_IO
         captured = capsys.readouterr()
@@ -210,7 +247,26 @@ def test_inpaint_checks_its_outputs_before_reading_any_input(workspace, capsys, 
         assert main(base + ["--in", str(image_path), "--out", str(tmp_path / out), "--overlay", str(overlay)]) == EXIT_IO
         assert message in capsys.readouterr().err
         assert not overlay.exists() and not snaps.exists() and not (tmp_path / out).exists()
-    assert not list(tmp_path.rglob("iter*.pgm"))
+    # an output that is a file the run's snapshots write (iter{n:06d}.pgm, n a positive multiple of K up to
+    # --max-iters, in the snapshot directory, however spelled) would overwrite that snapshot: refused
+    snaps.mkdir()
+    for name, dir_arg in (("iter000005.pgm", snaps), ("iter000995.pgm", snaps), ("iter000005.pgm", snaps / ".." / "snaps")):
+        for out_args in (["--out", str(snaps / name)], ["--out", str(tmp_path / "r.pgm"), "--overlay", str(snaps / name)]):
+            assert main(base + ["--in", str(image_path), "--snapshot-dir", str(dir_arg), "--max-iters", "995", *out_args]) == EXIT_IO
+            assert f"the snapshot of iteration {int(name[4:10])} names the same file" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*.pgm")) == sorted([image_path, mask_path])
+
+
+def test_an_output_beside_the_snapshots_that_no_snapshot_writes_is_allowed(workspace):
+    tmp_path, image_path, mask_path, _ = workspace
+    snaps = tmp_path / "snaps"
+    argv = ["inpaint", "--algo", "diffusion", "--in", str(image_path), "--mask", str(mask_path)]
+    argv += ["--snapshot-every", "5", "--snapshot-dir", str(snaps), "--max-iters", "12"]
+    snaps.mkdir()
+    # not a multiple of 5, iteration 0, seven digits for 5, past --max-iters, and snapshot 5's name in another directory
+    for out in (snaps / "iter000004.pgm", snaps / "iter000000.pgm", snaps / "iter0000005.pgm", snaps / "iter000015.pgm", tmp_path / "iter000005.pgm"):
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.exists()
 
 
 def test_genmask_checks_its_output_before_building_the_mask(tmp_path, capsys, monkeypatch):

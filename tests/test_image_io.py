@@ -26,6 +26,29 @@ def test_quantize_endpoints_and_rounding():
     assert q[1, 1] == 255  # clipped
 
 
+def test_quantize_of_any_shape_matches_the_2d_result_element_by_element():
+    rng = np.random.default_rng(29)
+    img = rng.uniform(-0.2, 1.2, size=(7, 9))
+    whole = quantize(img)
+    flat = quantize(img.ravel())
+    assert flat.dtype == np.uint8 and flat.shape == (63,)
+    assert np.array_equal(flat, whole.ravel())
+    # a gather of scattered pixels quantizes to the same bytes as those pixels of the whole image
+    rows, cols = np.nonzero(img > 0.5)
+    assert np.array_equal(quantize(img[rows, cols]), whole[rows, cols])
+    for empty in (np.empty(0), np.empty((0, 4))):
+        q = quantize(empty)
+        assert q.dtype == np.uint8 and q.shape == empty.shape
+
+
+def test_write_pgm_writes_rows_in_c_order_from_any_layout(tmp_path):
+    img = np.random.default_rng(37).uniform(size=(6, 11))
+    write_pgm(img, tmp_path / "c.pgm")
+    for name, view in (("f.pgm", np.asfortranarray(img)), ("t.pgm", img.T.copy().T), ("s.pgm", np.repeat(img, 2, axis=1)[:, ::2])):
+        write_pgm(view, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "c.pgm").read_bytes(), name
+
+
 def test_pgm_roundtrip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(31)
     img = rng.uniform(size=(9, 13))
