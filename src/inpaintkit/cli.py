@@ -11,7 +11,7 @@ import re
 import sys
 import time
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from inspect import signature
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 from .bench import ALGORITHMS, AggregateRow, BenchRecord, aggregate_records, run_bench, write_csv
 from .diffusion import DiffusionConfig, diffuse
 from .directional import inpaint_directional, render_directionality_overlay
-from .image_io import CODECS, ImageFormatError, codec, quantize, read_image, write_image, write_pgm_raster
+from .image_io import CODECS, ImageFormatError, codec, quantize, read_image, write_image, write_pgm
 from .kernels import diag_kernel, diamond_kernel
 from .masks import apply_damage, mask_from_image, mask_to_image, random_mask, text_mask
 
@@ -98,6 +98,7 @@ def _solver_flags(parser) -> None:
     parser.add_argument("--max-iters", type=_bounded(1, int), default=DiffusionConfig.max_iters)
 
 
+@cache  # built once per process: parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="inpaintkit", description="Grayscale image inpainting by masked kernel diffusion.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -207,7 +208,7 @@ def cmd_inpaint(parser, args) -> int:
         snap_dir = Path(args.snapshot_dir)
         snap_dir.mkdir(parents=True, exist_ok=True)
         # known pixels never change, so they are quantized once; a snapshot
-        # re-quantizes only the missing pixels into this frame and writes it.
+        # re-quantizes only the missing pixels into this frame for write_pgm.
         # The iterate is a strided view, read by (row, col) pairs; the frame
         # is contiguous, and flat indices write it about 3x faster than pairs.
         frame = quantize(damaged)
@@ -218,7 +219,7 @@ def cmd_inpaint(parser, args) -> int:
         def callback(iteration, current):
             if iteration % args.snapshot_every == 0:
                 frame_pixels[missing_flat] = quantize(current[missing])
-                write_pgm_raster(frame, snap_dir / SNAPSHOT_NAME.format(iteration))
+                write_pgm(frame, snap_dir / SNAPSHOT_NAME.format(iteration))
 
     start = time.perf_counter()
     if args.algo == "diffusion":

@@ -39,6 +39,14 @@ def as_int(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def require_finite(img: np.ndarray) -> np.ndarray:
+    """Return img; a NaN or infinite pixel raises ValueError, with the count of them."""
+    bad = img.size - int(np.count_nonzero(np.isfinite(img)))
+    if bad:
+        raise ValueError(f"image has {bad} non-finite pixel(s); NaN and inf are not valid intensities")
+    return img
+
+
 def require_same_shape(a: np.ndarray, b: np.ndarray, what: str = "arrays") -> None:
     if a.shape != b.shape:
         raise ValueError(f"{what} differ in shape: {a.shape} vs {b.shape}")

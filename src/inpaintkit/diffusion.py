@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_image, as_int, as_mask, group_by_shape, require_same_shape
+from .core import as_image, as_int, as_mask, group_by_shape, require_finite, require_same_shape
 from .kernels import normalize
 
 
@@ -100,9 +100,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     image = as_image(image)
     mask = as_mask(mask)
     require_same_shape(image, mask, "image and mask")
-    bad = image.size - int(np.count_nonzero(np.isfinite(image)))
-    if bad:
-        raise ValueError(f"image has {bad} non-finite pixel(s); NaN and inf are not valid intensities")
+    require_finite(image)
     k = np.asarray(kernels, dtype=np.float64)
     if k.shape[1:] != (3, 3):
         raise ValueError(f"expected one 3x3 kernel per region, got kernels of shape {k.shape}")

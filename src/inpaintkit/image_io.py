@@ -1,10 +1,12 @@
 """Image file reading and writing.
 
-Binary PGM (P5, maxval 255) is the canonical format and is parsed here
-directly. 8-bit grayscale PNG works through Pillow when it is installed
-(the "png" extra). Pixels map to float64 intensities in [0, 1] on read
-and are quantized back to bytes on write, so a write/read round trip
-reproduces the quantized values exactly.
+Binary PGM (P5, maxval up to 255) is the canonical format and is parsed
+here directly. 8-bit grayscale PNG works through Pillow when it is
+installed (the "png" extra). The codecs move 2-D uint8 rasters only:
+read_image divides a raster by its maxval into float64 intensities in
+[0, 1], and write_image quantizes back to bytes, so a write/read round
+trip reproduces the quantized values exactly. A caller that keeps a
+quantized raster (the CLI's snapshots) writes it with write_pgm.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_image
+from .core import as_image, require_finite
 
 # whitespace and '#' comments (up to the newline), then one token; the
 # token is empty only at the end of the data
@@ -51,8 +53,8 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return value, end
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) file into a [0, 1] float image."""
+def read_pgm(path) -> tuple[np.ndarray, int]:
+    """Read a binary PGM (P5) file as (uint8 raster, maxval)."""
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
@@ -80,21 +82,18 @@ def read_pgm(path) -> np.ndarray:
             f"raster truncated at byte {pos + len(raster)}: need {need} pixels, got {len(raster)}"
         )
     img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return img.astype(np.float64) / float(maxval)
+    if maxval < 255:
+        above = np.flatnonzero(img > maxval)
+        if len(above):
+            raise ImageFormatError(f"sample {img.flat[above[0]]} above maxval {maxval} at byte {pos + above[0]}")
+    return img, maxval
 
 
-def write_pgm(img, path) -> None:
-    """Write a [0, 1] float image as binary PGM (P5, maxval 255): quantize it, then write_pgm_raster."""
-    write_pgm_raster(quantize(as_image(img)), path)
-
-
-def write_pgm_raster(raster: np.ndarray, path) -> None:
-    """Write a 2-D uint8 array as binary PGM (P5, maxval 255).
+def write_pgm(raster: np.ndarray, path) -> None:
+    """Write a 2-D uint8 raster as binary PGM (P5, maxval 255).
 
     The header goes to the file first, then the raster in C order straight
-    from the array's buffer, with no bytes copy of it. This is the one PGM
-    writer: write_pgm quantizes and calls it, and a caller that keeps a
-    quantized frame (the CLI's snapshots) calls it directly.
+    from the array's buffer, with no bytes copy of it.
     """
     raster = np.ascontiguousarray(raster)  # no copy when already C-ordered
     with open(path, "wb") as f:
@@ -112,8 +111,8 @@ def _require_pillow():
     return Image
 
 
-def read_png(path) -> np.ndarray:
-    """Read an 8-bit grayscale PNG into a [0, 1] float image."""
+def read_png(path) -> tuple[np.ndarray, int]:
+    """Read an 8-bit grayscale PNG as (uint8 raster, maxval 255)."""
     pil = _require_pillow()
     with pil.open(path) as im:
         if im.mode == "1":
@@ -124,14 +123,12 @@ def read_png(path) -> np.ndarray:
             raise ImageFormatError(
                 f"{path}: mode {im.mode} unsupported; convert to 8-bit grayscale first"
             )
-        arr = np.asarray(im, dtype=np.uint8)
-    return arr.astype(np.float64) / 255.0
+        return np.asarray(im, dtype=np.uint8), 255
 
 
-def write_png(img, path) -> None:
-    """Write a [0, 1] float image as 8-bit grayscale PNG."""
-    pil = _require_pillow()
-    pil.fromarray(quantize(as_image(img)), mode="L").save(Path(path), format="PNG")
+def write_png(raster: np.ndarray, path) -> None:
+    """Write a 2-D uint8 raster as 8-bit grayscale PNG."""
+    _require_pillow().fromarray(raster, mode="L").save(Path(path), format="PNG")
 
 
 # suffix -> (reader, writer); .pnm is read and written as PGM
@@ -153,10 +150,11 @@ def codec(path):
 
 
 def read_image(path) -> np.ndarray:
-    """Read a grayscale image by file extension (.pgm/.pnm or .png)."""
-    return codec(path)[0](path)
+    """Read a grayscale image by file extension (.pgm/.pnm or .png) into a [0, 1] float image."""
+    raster, maxval = codec(path)[0](path)
+    return raster / float(maxval)
 
 
 def write_image(img, path) -> None:
-    """Write a grayscale image by file extension (.pgm/.pnm or .png)."""
-    codec(path)[1](img, path)
+    """Write a [0, 1] float image by file extension (.pgm/.pnm or .png), quantized to 8 bits; NaN or inf raises ValueError before the file is opened."""
+    codec(path)[1](quantize(require_finite(as_image(img))), path)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SUBSET = ("test_properties", "test_golden", "test_diffusion", "test_directional", "test_core", "test_masks", "test_cli")
+SUBSET = ("test_properties", "test_golden", "test_diffusion", "test_directional", "test_core", "test_masks", "test_cli", "test_image_io")
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class Mutant:
 
 
 DIFFUSION = "src/inpaintkit/diffusion.py"
+IMAGE_IO = "src/inpaintkit/image_io.py"
 MUTANTS = (
     Mutant(
         "tap-zero-in-any-kernel",
@@ -147,6 +148,27 @@ MUTANTS = (
         "frame_pixels[missing_flat] = quantize(current[missing])",
         "if iteration == args.snapshot_every: frame_pixels[missing_flat] = quantize(current[missing])",
         "the CLI's snapshot frame takes the missing pixels on the first snapshot only, so later snapshots repeat it",
+    ),
+    Mutant(
+        "read-divides-by-255",
+        IMAGE_IO,
+        "return raster / float(maxval)",
+        "return raster / 255.0",
+        "a PGM with maxval below 255 reads too dark, its maxval ignored",
+    ),
+    Mutant(
+        "no-sample-above-maxval-check",
+        IMAGE_IO,
+        "if maxval < 255:",
+        "if maxval > 255:",
+        "a PGM sample above its maxval reads as an intensity above 1",
+    ),
+    Mutant(
+        "no-non-finite-write-check",
+        IMAGE_IO,
+        "quantize(require_finite(as_image(img)))",
+        "quantize(as_image(img))",
+        "write_image writes NaN as 0 and inf as 255 without an error",
     ),
 )
 

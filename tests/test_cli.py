@@ -217,6 +217,24 @@ def test_io_errors_exit_2(workspace, tmp_path):
     junk.write_bytes(b"not an image")
     assert main(["inpaint", "--algo", "diffusion", "--in", str(junk), "--mask", str(mask_path), "--out", out]) == EXIT_IO
 
+    over = tmp_path / "over.pgm"
+    over.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 50, 100, 200]))
+    assert main(["inpaint", "--algo", "diffusion", "--in", str(over), "--mask", str(over), "--out", out]) == EXIT_IO
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_main_called_twice_in_one_process_keeps_no_parsed_state(workspace):
+    tmp_path, image_path, mask_path, mask = workspace
+    argv = ["inpaint", "--algo", "diffusion", "--in", str(image_path), "--mask", str(mask_path)]
+    assert main(argv + ["--out", str(tmp_path / "diag.pgm"), "--kernel", "diag"]) == EXIT_OK
+    assert main(argv + ["--out", str(tmp_path / "default.pgm")]) == EXIT_OK
+    assert cli.build_parser() is cli.build_parser()  # one parser served both calls
+    # the second call runs the default diamond kernel, not the first call's --kernel diag
+    expected = tmp_path / "diamond.pgm"
+    write_image(diffuse(apply_damage(read_image(image_path), mask), mask, diamond_kernel()).image, expected)
+    assert (tmp_path / "default.pgm").read_bytes() == expected.read_bytes()
+    assert (tmp_path / "diag.pgm").read_bytes() != expected.read_bytes()
+
 
 def test_inpaint_checks_its_outputs_before_reading_any_input(workspace, capsys, monkeypatch):
     tmp_path, image_path, mask_path, _ = workspace

@@ -13,7 +13,6 @@ from inpaintkit.image_io import (
     read_image,
     read_pgm,
     write_image,
-    write_pgm,
 )
 
 
@@ -43,9 +42,9 @@ def test_quantize_of_any_shape_matches_the_2d_result_element_by_element():
 
 def test_write_pgm_writes_rows_in_c_order_from_any_layout(tmp_path):
     img = np.random.default_rng(37).uniform(size=(6, 11))
-    write_pgm(img, tmp_path / "c.pgm")
+    write_image(img, tmp_path / "c.pgm")
     for name, view in (("f.pgm", np.asfortranarray(img)), ("t.pgm", img.T.copy().T), ("s.pgm", np.repeat(img, 2, axis=1)[:, ::2])):
-        write_pgm(view, tmp_path / name)
+        write_image(view, tmp_path / name)
         assert (tmp_path / name).read_bytes() == (tmp_path / "c.pgm").read_bytes(), name
 
 
@@ -54,16 +53,16 @@ def test_pgm_roundtrip_is_byte_identical(tmp_path):
     img = rng.uniform(size=(9, 13))
     first = tmp_path / "a.pgm"
     second = tmp_path / "b.pgm"
-    write_pgm(img, first)
-    back = read_pgm(first)
+    write_image(img, first)
+    back = read_image(first)
     assert np.array_equal(quantize(back), quantize(img))
-    write_pgm(back, second)
+    write_image(back, second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_pgm_header_layout(tmp_path):
     path = tmp_path / "c.pgm"
-    write_pgm(np.zeros((2, 3)), path)
+    write_image(np.zeros((2, 3)), path)
     assert path.read_bytes() == b"P5\n3 2\n255\n" + b"\x00" * 6
 
 
@@ -81,7 +80,7 @@ def test_pgm_reader_tolerates_comments_and_whitespace(tmp_path):
     raw = b"P5 # magic\n# a comment line\n  3\t2 #dims\n255\n" + bytes(range(6))
     path = tmp_path / "d.pgm"
     path.write_bytes(raw)
-    img = read_pgm(path)
+    img = read_image(path)
     assert img.shape == (2, 3)
     assert img[1, 2] == 5.0 / 255.0
 
@@ -89,7 +88,7 @@ def test_pgm_reader_tolerates_comments_and_whitespace(tmp_path):
 def test_pgm_comment_glued_to_a_token(tmp_path):
     path = tmp_path / "glued.pgm"
     path.write_bytes(b"P5 3#c\n2 255\n" + bytes(range(6)))
-    img = read_pgm(path)
+    img = read_image(path)
     assert img.shape == (2, 3)
     assert img[1, 2] == 5.0 / 255.0
 
@@ -98,8 +97,33 @@ def test_pgm_low_maxval_rescales(tmp_path):
     raw = b"P5\n2 1\n100\n" + bytes([0, 50])
     path = tmp_path / "e.pgm"
     path.write_bytes(raw)
-    img = read_pgm(path)
+    img = read_image(path)
     assert img[0, 1] == 0.5
+
+
+def test_pgm_sample_above_its_maxval_is_rejected_with_its_byte_offset(tmp_path):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 50, 100, 200]))
+    with pytest.raises(ImageFormatError, match=r"^sample 200 above maxval 100 at byte 14$"):
+        read_image(path)
+    # a sample equal to its maxval is full intensity
+    path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 50, 100, 100]))
+    assert np.array_equal(read_image(path), [[0.0, 0.5], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("suffix", [".pgm", ".png"])
+def test_write_image_refuses_a_non_finite_pixel_before_opening_the_file(tmp_path, suffix, value):
+    if suffix == ".png":
+        pytest.importorskip("PIL")
+    path = tmp_path / f"x{suffix}"
+    with pytest.raises(ValueError, match=r"^image has 16 non-finite pixel\(s\); NaN and inf are not valid intensities$"):
+        write_image(np.full((4, 4), value), path)
+    img = np.zeros((4, 4))
+    img[2, 3] = value
+    with pytest.raises(ValueError, match=r"^image has 1 non-finite pixel"):
+        write_image(img, path)
+    assert not path.exists()
 
 
 def test_pgm_16_bit_rejected(tmp_path):
