@@ -93,9 +93,9 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     threshold or cap, and its cells are then dropped from the step.
     on_step(counts, interiors), if given, is called after every step
     with the live counts and a read-only view of the live interiors.
-    Returns the image with every interior written back in one
-    assignment, and per region the iterations, final deltas and
-    converged flags.
+    Returns a copy of the image, allocated at the first write-back, with
+    every interior written back in one assignment per stack, and per
+    region the iterations, final deltas and converged flags.
     """
     image = as_image(image)
     mask = as_mask(mask)
@@ -113,7 +113,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         raise ValueError(f"region {bad[0]} {coords[bad[0]].tolist()} runs past the {image.shape[0]}x{image.shape[1]} image")
     cfg = config if config is not None else DiffusionConfig()
 
-    out = image.copy()
+    out = None  # allocated at the first write-back, so no output image is live while a stack steps
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
     for (h, w), idx in group_by_shape(coords).items():
@@ -189,6 +189,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                 starts = np.cumsum(sizes) - sizes
         deltas[idx], iterations[idx] = delta, count
         # window (t, l) of out is the region at (t, l) itself
+        out = image.copy() if out is None else out
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner
-    return out, iterations, deltas, deltas <= cfg.epsilon
+    return image.copy() if out is None else out, iterations, deltas, deltas <= cfg.epsilon
 

@@ -77,11 +77,11 @@ def rotate_kernel(theta_deg) -> np.ndarray:
     the source by bicubic interpolation (inverse mapping). Rotation
     applies the plain rotation matrix to (x=col, y=row) offsets; with the
     row axis pointing down that turns the picture clockwise on screen.
-    Negative bicubic overshoot is clamped to zero and the result is
-    normalized, so the output is a valid averaging kernel for every
-    angle. Angles 180 degrees apart give the same kernel up to floating
-    point noise. A scalar angle gives one (3, 3) kernel, an array of
-    angles of shape S an S + (3, 3) stack.
+    The result is normalized; no bicubic overshoot of this source falls
+    below zero, so it is a valid averaging kernel for every angle. Angles
+    180 degrees apart give the same kernel up to floating point noise. A
+    scalar angle gives one (3, 3) kernel, an array of angles of shape S
+    an S + (3, 3) stack.
     """
     angle = np.radians(np.asarray(theta_deg, dtype=np.float64) + 45.0)[..., None, None]
     # inverse map: rotate each target offset by -angle back into the source
@@ -89,6 +89,4 @@ def rotate_kernel(theta_deg) -> np.ndarray:
     y, x = np.mgrid[-1:2, -1:2].astype(np.float64)
     sx = x * cos_a - y * sin_a
     sy = x * sin_a + y * cos_a
-    out = _bicubic(diag_kernel(), 1.0 + sx, 1.0 + sy)
-    np.clip(out, 0.0, None, out=out)
-    return normalize(out)
+    return normalize(_bicubic(diag_kernel(), 1.0 + sx, 1.0 + sy))

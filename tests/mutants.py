@@ -34,7 +34,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SUBSET = ("test_properties", "test_golden", "test_diffusion", "test_directional", "test_core", "test_masks", "test_cli", "test_image_io")
+SUBSET = (
+    "test_properties",
+    "test_golden",
+    "test_diffusion",
+    "test_directional",
+    "test_core",
+    "test_masks",
+    "test_cli",
+    "test_image_io",
+    "test_directionality",
+    "test_kernels",
+)
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,13 @@ class Mutant:
     bug: str
 
 
+# Left out as equivalent: pairing index i with (i - 1) mod n instead of
+# (i + 1) mod n in patch_angles. A circular difference sum does not depend on
+# the shift's direction, so only the summation order could tell them apart.
 DIFFUSION = "src/inpaintkit/diffusion.py"
+DIRECTIONALITY = "src/inpaintkit/directionality.py"
 IMAGE_IO = "src/inpaintkit/image_io.py"
+KERNELS = "src/inpaintkit/kernels.py"
 MUTANTS = (
     Mutant(
         "tap-zero-in-any-kernel",
@@ -169,6 +185,55 @@ MUTANTS = (
         "quantize(require_finite(as_image(img)))",
         "quantize(as_image(img))",
         "write_image writes NaN as 0 and inf as 255 without an error",
+    ),
+    Mutant(
+        "threshold-one-half",
+        DIRECTIONALITY,
+        "D_THRESHOLD = 0.6",
+        "D_THRESHOLD = 0.5",
+        "a patch with d in (0.5, 0.6] takes the high-d branch of the angle formula",
+    ),
+    Mutant(
+        "theta1-from-v",
+        DIRECTIONALITY,
+        "theta1 = 90.0 * (h + 1.0) / (h + v + 1.0)",
+        "theta1 = 90.0 * (v + 1.0) / (h + v + 1.0)",
+        "theta1 is built from the column differences v instead of the row differences h",
+    ),
+    Mutant(
+        "no-wrap-past-90",
+        DIRECTIONALITY,
+        "return np.where(theta > 90.0, theta - 180.0, theta)",
+        "return theta",
+        "an angle that rounding lifts past 90 is returned outside (-90, 90]",
+    ),
+    Mutant(
+        "shift-wrap-block-dropped",
+        DIRECTIONALITY,
+        "return ((slice(0, n - shift), slice(shift, n)), (slice(n - shift, n), slice(0, shift)))",
+        "return ((slice(0, n - shift), slice(shift, n)),)",
+        "a shift's wrapped row or column is never written, so its differences are stale buffer contents",
+    ),
+    Mutant(
+        "rotate-by-theta-minus-45",
+        KERNELS,
+        "np.asarray(theta_deg, dtype=np.float64) + 45.0",
+        "np.asarray(theta_deg, dtype=np.float64) - 45.0",
+        "the diagonal kernel is turned by theta - 45 degrees, a quarter turn off",
+    ),
+    Mutant(
+        "rotate-forward-map",
+        KERNELS,
+        "cos_a, sin_a = np.cos(-angle), np.sin(-angle)",
+        "cos_a, sin_a = np.cos(angle), np.sin(angle)",
+        "target cells are sampled by the forward map, so the kernel turns the other way",
+    ),
+    Mutant(
+        "cubic-a-three-quarters",
+        KERNELS,
+        "_CUBIC_A = -0.5",
+        "_CUBIC_A = -0.75",
+        "the bicubic sampler uses a = -0.75 instead of Catmull-Rom's -0.5",
     ),
 )
 

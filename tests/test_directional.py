@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,26 @@ def test_stacked_angles_match_per_patch_metrics():
             patches = [img[t : t + h, l : l + w] for t, l, h, w in grid.coords]
             assert grid.angles.tolist() == [orientation_direct(p)[-1] for p in patches]
             assert grid.angles.tolist() == [patch_angles(p[None])[0] for p in patches]
+
+
+def test_build_patch_grid_traced_peak_stays_within_three_images():
+    # the patch stack plus one reused difference buffer, not three
+    # image-sized temporaries per shift sum
+    img = np.random.default_rng(23).uniform(size=(256, 256))
+    build_patch_grid(img, 16)  # warm-up, so one-off allocations are not counted
+    tracemalloc.start()
+    try:
+        build_patch_grid(img, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * img.nbytes
+
+
+def test_diffuse_patches_without_patches_returns_a_copy():
+    img = np.random.default_rng(24).uniform(size=(8, 8))
+    mask = random_mask(8, 8, 0.5, seed=25)
+    result = diffuse_patches(img, mask, PatchGrid(np.zeros((0, 4)), np.zeros(0), np.zeros((0, 3, 3))))
+    assert np.array_equal(result.image, img)
+    assert not np.shares_memory(result.image, img)
+    assert (result.iterations, result.final_delta, result.converged) == (0, 0.0, True)

@@ -131,3 +131,34 @@ def test_d_never_exceeds_one_and_theta_stays_in_range():
     angles = patch_angles(stack)
     assert np.all((-90.0 < angles) & (angles <= 90.0))
 
+
+@pytest.mark.parametrize(
+    ("patch", "d_exact", "theta"),
+    [
+        # one 0 among 1s: v = h = diag = 2, so d = 3/5 sits on the threshold itself
+        ([[0.0, 1.0], [1.0, 1.0]], 0.6, -54.0),
+        # two 1s on an anti-diagonal: v = h = diag = 4, d = 5/9 and theta1 = 50
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], 5.0 / 9.0, -50.0),
+    ],
+)
+def test_d_between_one_half_and_the_threshold_takes_the_low_d_branch(patch, d_exact, theta):
+    # the branch test is d > 0.6, strictly; with a threshold of 0.5 these would
+    # take the other branch and point at -90 + 90 d + theta1 instead
+    p = np.array(patch)
+    _, _, d, theta1, expected = orientation_direct(p)
+    assert d == d_exact and 0.5 < d <= D_THRESHOLD
+    assert expected == theta == -theta1
+    assert patch_angles(p[None])[0] == theta
+
+
+def test_theta_rounded_past_90_wraps_to_just_above_minus_90():
+    # rows constant but for one ulp: v = 2 ulp(0.02) is lost against h + 1, so
+    # theta1 and d round one step past 90 and 1, and the unreduced theta past 90
+    p = np.array([[0.02, np.nextafter(0.02, 1.0)], [0.2, 0.2]])
+    _, _, d, theta1, theta = orientation_direct(p)
+    assert d > 1.0 and theta1 > 90.0
+    unreduced = -90.0 + (90.0 * d + theta1)
+    assert unreduced > 90.0
+    assert theta == unreduced - 180.0
+    assert patch_angles(p[None])[0] == theta
+    assert -90.0 < theta < -89.9
