@@ -73,10 +73,25 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
     return DiffusionResult(image, int(iterations[0]), float(deltas[0]), bool(converged[0]))
 
 
+def _require_disjoint(shape, coords, groups) -> None:
+    """Raise ValueError if two regions share a pixel.
+
+    The later write-back would win, so the output would depend on region
+    order. Marks every region in one bool image, one scatter per shape
+    group; the image is freed on return, before any stack is built.
+    """
+    covered = np.zeros(shape, dtype=bool)
+    for (h, w), idx in groups.items():
+        sliding_window_view(covered, (h, w), writeable=True)[coords[idx, 0], coords[idx, 1]] = True
+    if np.count_nonzero(covered) < int(np.sum(coords[:, 2] * coords[:, 3])):
+        raise ValueError("regions overlap; each pixel may belong to at most one region")
+
+
 def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None):
     """Masked Jacobi on regions of an image, one 3x3 kernel per region.
 
-    coords is a (P, 4) array of (top, left, height, width) rows.
+    coords is a (P, 4) array of (top, left, height, width) rows; regions
+    must lie inside the image and must not overlap.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
     The stack is one gather from the zero-padded image, so a window's
@@ -111,12 +126,14 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     bad = np.flatnonzero((coords[:, 0] + coords[:, 2] > image.shape[0]) | (coords[:, 1] + coords[:, 3] > image.shape[1]))
     if len(bad):
         raise ValueError(f"region {bad[0]} {coords[bad[0]].tolist()} runs past the {image.shape[0]}x{image.shape[1]} image")
+    groups = group_by_shape(coords)
+    _require_disjoint(image.shape, coords, groups)
     cfg = config if config is not None else DiffusionConfig()
 
     out = None  # allocated at the first write-back, so no output image is live while a stack steps
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
-    for (h, w), idx in group_by_shape(coords).items():
+    for (h, w), idx in groups.items():
         stride = w + 2
         tops, lefts = coords[idx, :2].T
         # window (t, l) of the zero-padded image is the region at (t, l) inside

@@ -81,7 +81,8 @@ def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None 
     the image border clips it. Halo pixels and the patch's known pixels
     hold their `base` values; missing pixels start from theirs and
     converge to the patch kernel's fill. Only patch interiors are written
-    back. Patches of one shape are solved as one stack.
+    back. Patches of one shape are solved as one stack. Overlapping
+    patches raise ValueError, since the later write-back would win.
     """
     image, iterations, deltas, converged = _solve_windows(base, mask, grid.coords, grid.kernels, config)
     return DiffusionResult(image, int(iterations.sum()), float(deltas.max(initial=0.0)), bool(converged.all()))

@@ -28,15 +28,19 @@ def diag_kernel() -> np.ndarray:
 
 
 def normalize(kernel) -> np.ndarray:
-    """Scale a kernel, or each kernel of a stack, so its weights sum to 1."""
+    """Scale a kernel, or each kernel of a stack, so its weights sum to 1.
+
+    Raises ValueError unless every sum is finite and positive.
+    """
     k = np.asarray(kernel, dtype=np.float64)
     total = k.sum(axis=(-2, -1), keepdims=True)
-    if np.any(total <= 0.0):
-        raise ValueError("degenerate kernel: weights sum to zero")
+    if not (np.isfinite(total) & (total > 0.0)).all():
+        raise ValueError("degenerate kernel: weights must sum to a finite positive value")
     return k / total
 
 
 _CUBIC_A = -0.5  # Catmull-Rom
+_ANGLES_PER_CHUNK = 4096  # bounds the bicubic temporaries, about 1.4 KB per angle
 
 
 def _cubic_weights(t: np.ndarray) -> np.ndarray:
@@ -81,12 +85,19 @@ def rotate_kernel(theta_deg) -> np.ndarray:
     below zero, so it is a valid averaging kernel for every angle. Angles
     180 degrees apart give the same kernel up to floating point noise. A
     scalar angle gives one (3, 3) kernel, an array of angles of shape S
-    an S + (3, 3) stack.
+    an S + (3, 3) stack, rotated at most 4,096 angles at a time into the
+    preallocated output.
     """
-    angle = np.radians(np.asarray(theta_deg, dtype=np.float64) + 45.0)[..., None, None]
-    # inverse map: rotate each target offset by -angle back into the source
-    cos_a, sin_a = np.cos(-angle), np.sin(-angle)
+    theta = np.asarray(theta_deg, dtype=np.float64)
+    out = np.empty(theta.shape + (3, 3))
+    angles, kernels = theta.reshape(-1), out.reshape(-1, 3, 3)
     y, x = np.mgrid[-1:2, -1:2].astype(np.float64)
-    sx = x * cos_a - y * sin_a
-    sy = x * sin_a + y * cos_a
-    return normalize(_bicubic(diag_kernel(), 1.0 + sx, 1.0 + sy))
+    for start in range(0, len(angles), _ANGLES_PER_CHUNK):
+        stop = start + _ANGLES_PER_CHUNK
+        angle = np.radians(angles[start:stop] + 45.0)[:, None, None]
+        # inverse map: rotate each target offset by -angle back into the source
+        cos_a, sin_a = np.cos(-angle), np.sin(-angle)
+        sx = x * cos_a - y * sin_a
+        sy = x * sin_a + y * cos_a
+        kernels[start:stop] = normalize(_bicubic(diag_kernel(), 1.0 + sx, 1.0 + sy))
+    return out

@@ -122,6 +122,13 @@ MUTANTS = (
         "the first delta counts ghost cells as copies of the image edge",
     ),
     Mutant(
+        "overlapping-regions-accepted",
+        DIFFUSION,
+        "if np.count_nonzero(covered) < int(np.sum(coords[:, 2] * coords[:, 3])):",
+        "if np.count_nonzero(covered) < 0:",
+        "overlapping regions are solved, and the later write-back wins, so the output depends on region order",
+    ),
+    Mutant(
         "half-up-overlay-rounding",
         "src/inpaintkit/directional.py",
         "r = np.rint((origins[:, :1] + (h - 1) / 2.0) + s * dy[idx, None]).astype(np.intp)\n"
@@ -164,6 +171,13 @@ MUTANTS = (
         "frame_pixels[missing_flat] = quantize(current[missing])",
         "if iteration == args.snapshot_every: frame_pixels[missing_flat] = quantize(current[missing])",
         "the CLI's snapshot frame takes the missing pixels on the first snapshot only, so later snapshots repeat it",
+    ),
+    Mutant(
+        "main-exit-status-dropped",
+        "src/inpaintkit/cli.py",
+        "sys.exit(main())",
+        "main()",
+        "`python -m inpaintkit.cli` exits 0 whatever main returns",
     ),
     Mutant(
         "read-divides-by-255",
@@ -217,8 +231,8 @@ MUTANTS = (
     Mutant(
         "rotate-by-theta-minus-45",
         KERNELS,
-        "np.asarray(theta_deg, dtype=np.float64) + 45.0",
-        "np.asarray(theta_deg, dtype=np.float64) - 45.0",
+        "np.radians(angles[start:stop] + 45.0)",
+        "np.radians(angles[start:stop] - 45.0)",
         "the diagonal kernel is turned by theta - 45 degrees, a quarter turn off",
     ),
     Mutant(
@@ -234,6 +248,20 @@ MUTANTS = (
         "_CUBIC_A = -0.5",
         "_CUBIC_A = -0.75",
         "the bicubic sampler uses a = -0.75 instead of Catmull-Rom's -0.5",
+    ),
+    Mutant(
+        "rotate-chunk-stop-off-by-one",
+        KERNELS,
+        "stop = start + _ANGLES_PER_CHUNK",
+        "stop = start + _ANGLES_PER_CHUNK - 1",
+        "the last angle of every full 4,096-angle chunk is never rotated, its kernel left uninitialized",
+    ),
+    Mutant(
+        "normalize-lets-nan-sum-through",
+        KERNELS,
+        "if not (np.isfinite(total) & (total > 0.0)).all():",
+        "if np.any(total <= 0.0):",
+        "a kernel whose weights sum to NaN or inf normalizes to NaN weights without an error",
     ),
 )
 

@@ -1,9 +1,17 @@
-"""End-to-end CLI tests, driven in-process through main(argv)."""
+"""End-to-end CLI tests, driven in-process through main(argv).
+
+This file is the one place that pins CLI behaviour. One test runs the
+module in a subprocess to pin the mapping from main's return value to
+the process's exit status.
+"""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +575,24 @@ def test_bench_rejects_a_bad_mask_request_before_any_run(tmp_path, capsys):
     # the same image benches once a mask is given
     assert main(base + ["--text", "x"]) == EXIT_OK
     assert csv_path.read_text().strip().split("\n")[1].startswith("one,text-scale2,diffusion-diamond,")
+
+
+def test_module_run_exits_with_the_status_main_returns(tmp_path):
+    # `python -m inpaintkit.cli` ends in sys.exit(main()), as the installed script's wrapper does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "inpaintkit.cli", *args], env=env, capture_output=True, text=True, timeout=120)
+
+    helped = run("--help")
+    assert helped.returncode == EXIT_OK and "inpaint" in helped.stdout
+    usage = run("genmask", "--size", "8x8", "--random", "0.5")
+    assert usage.returncode == EXIT_USAGE and "--out" in usage.stderr
+    missing = tmp_path / "nodir" / "m.pgm"
+    io = run("genmask", "--size", "8x8", "--out", str(missing), "--random", "0.5")
+    assert io.returncode == EXIT_IO and io.stderr.startswith(f"inpaintkit: I/O error: cannot write {missing}")
+    assert not list(tmp_path.iterdir())
 
 
 def test_help_exits_zero(capsys):

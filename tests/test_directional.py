@@ -235,8 +235,10 @@ def test_clipped_patches_are_still_processed():
         ([0, 0, 4, 4], r"coords must be \(P, 4\) rows"),
         ([[6, 0, 4, 4]], r"region 0 \[6, 0, 4, 4\] runs past the 8x8 image"),
         ([[0, 0, 4, 4], [4, 5, 4, 4]], r"region 1 \[4, 5, 4, 4\] runs past the 8x8 image"),
+        # the later write-back would win, so the output would depend on patch order
+        ([[0, 0, 6, 6], [2, 2, 6, 6]], r"regions overlap"),
     ],
-    ids=["negative-top", "negative-left", "zero-height", "zero-width", "five-columns", "flat", "past-bottom", "past-right"],
+    ids=["negative-top", "negative-left", "zero-height", "zero-width", "five-columns", "flat", "past-bottom", "past-right", "overlap"],
 )
 def test_bad_patch_coords_rejected(coords, message):
     mask = random_mask(8, 8, 0.5, seed=2)

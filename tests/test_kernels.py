@@ -8,6 +8,8 @@ oracles.rotate_kernel_direct for scalar and array input.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,12 @@ def test_normalize_rejects_degenerate_kernels():
         normalize(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         normalize(np.full((3, 3), -1.0))
+    # a NaN or infinite sum would divide every weight into NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="degenerate kernel"):
+            normalize(np.full((3, 3), bad))
+        with pytest.raises(ValueError, match="degenerate kernel"):
+            normalize(np.stack([diag_kernel(), np.where(diag_kernel() > 0.1, bad, diag_kernel())]))
 
 
 def test_bicubic_reproduces_grid_nodes():
@@ -168,3 +176,27 @@ def test_rotate_kernel_matches_direct_bicubic_for_array_and_scalar_input():
         assert np.max(np.abs(k - expected)) <= 1e-12
         assert np.array_equal(rotate_kernel(float(theta)), k)
     assert rotate_kernel(np.array([[10.0, 20.0], [30.0, 40.0]])).shape == (2, 2, 3, 3)
+
+
+def test_rotate_kernel_chunks_match_a_call_on_each_slice():
+    # 8,200 angles cross the chunk boundaries at 4,096 and 8,192; a slice
+    # across a boundary, called alone, is rotated in one chunk
+    angles = np.random.default_rng(61).uniform(-90.0, 90.0, size=(2, 4100))
+    kernels = rotate_kernel(angles)
+    assert kernels.shape == (2, 4100, 3, 3)
+    flat, flat_kernels = angles.reshape(-1), kernels.reshape(-1, 3, 3)
+    for lo, hi in ((4000, 4200), (8100, 8200)):
+        assert np.array_equal(flat_kernels[lo:hi], rotate_kernel(flat[lo:hi]))
+
+
+def test_rotate_kernel_traced_peak_is_bounded_by_its_chunks():
+    # 65,536 angles (patch 2 on a 512x512 image): the output is 4.5 MiB, and
+    # the bicubic temporaries of one 4,096-angle chunk about 5.5 MiB more
+    angles = np.linspace(-90.0, 90.0, 65536)
+    tracemalloc.start()
+    try:
+        rotate_kernel(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
