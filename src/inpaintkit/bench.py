@@ -7,6 +7,8 @@ algorithm call only, never file I/O or mask construction.
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass, fields
 
@@ -127,14 +129,18 @@ def to_csv(rows, row_type) -> str:
     """Render dataclass rows as CSV text with LF line endings.
 
     The header is the field names of row_type; floats print as :.6g and
-    every other value as str.
+    every other value as str. A field holding a comma, a double quote or
+    a line break is quoted, so an image id such as a file stem reads back
+    whole.
     """
     names = [f.name for f in fields(row_type)]
-    lines = [",".join(names)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(names)
     for row in rows:
         values = (getattr(row, name) for name in names)
-        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in values))
-    return "\n".join(lines) + "\n"
+        writer.writerow(f"{v:.6g}" if isinstance(v, float) else v for v in values)
+    return text.getvalue()
 
 
 def write_csv(rows, row_type, path) -> None:

@@ -188,6 +188,26 @@ def _check_outputs(*paths, images: bool, snapshots=None) -> None:
         written[target] = path
 
 
+def _snapshot_writer(damaged, mask, every: int, snap_dir: Path):
+    """Make snap_dir and return the solve callback that writes every K-th iterate into it as a PGM."""
+    snap_dir.mkdir(parents=True, exist_ok=True)
+    # known pixels never change, so they are quantized once; a snapshot
+    # re-quantizes only the missing pixels into this frame for write_pgm.
+    # The iterate is a strided view, read by (row, col) pairs; the frame
+    # is contiguous, and flat indices write it about 3x faster than pairs.
+    frame = quantize(damaged)
+    frame_pixels = frame.reshape(-1)  # a view of frame
+    missing = np.nonzero(mask == 0)
+    missing_flat = np.ravel_multi_index(missing, frame.shape)
+
+    def callback(iteration, current):
+        if iteration % every == 0:
+            frame_pixels[missing_flat] = quantize(current[missing])
+            write_pgm(frame, snap_dir / SNAPSHOT_NAME.format(iteration))
+
+    return callback
+
+
 def cmd_inpaint(parser, args) -> int:
     for flag, algo in (("patch", "directional"), ("overlay", "directional"), ("kernel", "diffusion")):
         if getattr(args, flag) is not None and args.algo != algo:
@@ -203,23 +223,7 @@ def cmd_inpaint(parser, args) -> int:
     damaged = apply_damage(image, mask)
     del image  # the run reads only damaged; dropping the input lowers its peak memory by one float image
 
-    callback = None
-    if args.snapshot_every is not None:
-        snap_dir = Path(args.snapshot_dir)
-        snap_dir.mkdir(parents=True, exist_ok=True)
-        # known pixels never change, so they are quantized once; a snapshot
-        # re-quantizes only the missing pixels into this frame for write_pgm.
-        # The iterate is a strided view, read by (row, col) pairs; the frame
-        # is contiguous, and flat indices write it about 3x faster than pairs.
-        frame = quantize(damaged)
-        frame_pixels = frame.reshape(-1)  # a view of frame
-        missing = np.nonzero(mask == 0)
-        missing_flat = np.ravel_multi_index(missing, frame.shape)
-
-        def callback(iteration, current):
-            if iteration % args.snapshot_every == 0:
-                frame_pixels[missing_flat] = quantize(current[missing])
-                write_pgm(frame, snap_dir / SNAPSHOT_NAME.format(iteration))
+    callback = None if args.snapshot_every is None else _snapshot_writer(damaged, mask, args.snapshot_every, Path(args.snapshot_dir))
 
     start = time.perf_counter()
     if args.algo == "diffusion":
@@ -228,8 +232,9 @@ def cmd_inpaint(parser, args) -> int:
         patch = {} if args.patch is None else {"patch_size": args.patch}
         # snapshots track the estimate pass of the directional pipeline
         res = inpaint_directional(damaged, mask, config=config, callback=callback, **patch)
-        if args.overlay is not None:
-            write_image(render_directionality_overlay(res.image, res.grid), args.overlay)
+    del damaged, mask, callback  # the outputs need only res: the input and the snapshot frame go before any is built
+    if args.overlay is not None:  # --algo directional only
+        write_image(render_directionality_overlay(res.image, res.grid), args.overlay)
     wall = time.perf_counter() - start
 
     write_image(res.image, args.out)

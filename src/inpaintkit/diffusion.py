@@ -20,6 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import as_image, as_int, as_mask, group_by_shape, require_finite, require_same_shape
 from .kernels import normalize
 
+_STACK_ELEMENTS_PER_CHUNK = 1 << 16  # bounds the first delta's squares, 512 KiB per chunk
+
 
 @dataclass(frozen=True)
 class DiffusionConfig:
@@ -96,7 +98,8 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
     The stack is one gather from the zero-padded image, so a window's
     first delta is the norm of its ring-extended window clipped to the
-    image; ghost cells are refreshed before every step. A step computes
+    image, summed over whole windows a bounded chunk at a time; ghost
+    cells are refreshed before every step. A step computes
     the missing cells only: they are held as flat stack indices in
     window-major order, so each tap is a gather at a constant offset,
     their current values are kept beside the stack as one vector, and
@@ -108,8 +111,9 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     threshold or cap, and its cells are then dropped from the step.
     on_step(counts, interiors), if given, is called after every step
     with the live counts and a read-only view of the live interiors.
-    Returns a copy of the image, allocated at the first write-back, with
-    every interior written back in one assignment per stack, and per
+    Returns a copy of the image, allocated at the first write-back once
+    the per-cell state is freed, with every interior written back in one
+    assignment per stack, and per
     region the iterations, final deltas and converged flags.
     """
     image = as_image(image)
@@ -140,7 +144,11 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         # its ring; ghost cells hold 0 until the first step refreshes them, so
         # the first delta counts the cells inside the image only
         win = sliding_window_view(np.pad(image, 1), (h + 2, w + 2))[tops, lefts]
-        deltas[idx] = np.sqrt(np.sum(win * win, axis=(1, 2)))
+        # whole windows per chunk, so each window's sum keeps its bits
+        per = max(1, _STACK_ELEMENTS_PER_CHUNK // win[0].size)
+        for start in range(0, len(idx), per):
+            part = win[start : start + per]
+            deltas[idx[start : start + per]] = np.sqrt(np.sum(part * part, axis=(1, 2)))
         free = np.zeros(win.shape, dtype=bool)  # missing interior cells
         free[:, 1:-1, 1:-1] = sliding_window_view(mask, (h, w))[tops, lefts] == 0
         ghost_top, ghost_bottom, ghost_left, ghost_right = (
@@ -171,7 +179,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         inner = win[:, 1:-1, 1:-1]
         inner.flags.writeable = False  # on_step may read the live interiors, never write them
         acc, x, tmp = np.empty((3, len(cells)))
-        np.take(centre, cells, out=x)  # the cells' current values
+        np.take(centre, cells, out=x, mode="clip")  # the cells' current values
         while running.any():
             # ghost sides copy the interior edge; full-length copies also fill the corners
             win[ghost_top, 0] = win[ghost_top, 1]
@@ -205,6 +213,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                 owners, sizes = owners[alive], sizes[alive]
                 starts = np.cumsum(sizes) - sizes
         deltas[idx], iterations[idx] = delta, count
+        cells = acc = x = tmp = term = step = keep = None  # frees the per-cell state before out is allocated
         # window (t, l) of out is the region at (t, l) itself
         out = image.copy() if out is None else out
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner

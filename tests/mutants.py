@@ -75,9 +75,23 @@ MUTANTS = (
     Mutant(
         "first-delta-interior-only",
         DIFFUSION,
-        "deltas[idx] = np.sqrt(np.sum(win * win, axis=(1, 2)))",
-        "deltas[idx] = np.sqrt(np.sum(win[:, 1:-1, 1:-1] ** 2, axis=(1, 2)))",
+        "np.sqrt(np.sum(part * part, axis=(1, 2)))",
+        "np.sqrt(np.sum(part[:, 1:-1, 1:-1] ** 2, axis=(1, 2)))",
         "the first delta leaves out the halo ring",
+    ),
+    Mutant(
+        "first-delta-last-chunk-skipped",
+        DIFFUSION,
+        "for start in range(0, len(idx), per):",
+        "for start in range(0, len(idx) - per, per):",
+        "the windows of a stack's last first-delta chunk keep delta 0 and never step",
+    ),
+    Mutant(
+        "per-cell-state-kept-at-write-back",
+        DIFFUSION,
+        "cells = acc = x = tmp = term = step = keep = None",
+        "pass",
+        "the per-cell state is still live when the output image is allocated",
     ),
     Mutant(
         "no-freezing",
@@ -171,6 +185,20 @@ MUTANTS = (
         "frame_pixels[missing_flat] = quantize(current[missing])",
         "if iteration == args.snapshot_every: frame_pixels[missing_flat] = quantize(current[missing])",
         "the CLI's snapshot frame takes the missing pixels on the first snapshot only, so later snapshots repeat it",
+    ),
+    Mutant(
+        "inpaint-input-kept-after-solve",
+        "src/inpaintkit/cli.py",
+        "del damaged, mask, callback",
+        "pass",
+        "the CLI keeps its input, mask and snapshot frame while it builds the overlay and the outputs",
+    ),
+    Mutant(
+        "csv-written-without-quoting",
+        "src/inpaintkit/bench.py",
+        'csv.writer(text, lineterminator="\\n")',
+        'csv.writer(text, lineterminator="\\n", quoting=csv.QUOTE_NONE, escapechar="\\\\")',
+        "a bench CSV field holding a comma or a quote is escaped, not quoted, and splits into extra fields",
     ),
     Mutant(
         "main-exit-status-dropped",

@@ -7,10 +7,12 @@ the process's exit status.
 
 from __future__ import annotations
 
+import csv
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +167,26 @@ def test_each_snapshot_is_the_library_iterate_written_whole(tmp_path, algo, miss
     assert len(names) == {"text": 40, "none": 1, "all": 0}[missing]
     for name in names:
         assert (tmp_path / "snaps" / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_inpaint_traced_peak_stays_within_five_and_a_half_images(tmp_path, capsys):
+    # once the solve returns, the run's input and the snapshot frame are dropped
+    # before the overlay and the output are built
+    rng = np.random.default_rng(57)
+    image_path, mask_path = tmp_path / "image.pgm", tmp_path / "mask.pgm"
+    write_image(rng.uniform(size=(256, 256)), image_path)
+    write_image(mask_to_image(text_mask(256, 256, "Lorem ipsum dolor sit amet", scale=3)), mask_path)
+    argv = ["inpaint", "--algo", "directional", "--patch", "16", "--in", str(image_path), "--mask", str(mask_path)]
+    argv += ["--out", str(tmp_path / "out.pgm"), "--overlay", str(tmp_path / "overlay.pgm")]
+    argv += ["--snapshot-every", "2", "--snapshot-dir", str(tmp_path / "snaps")]
+    assert main(argv) == EXIT_OK  # warm-up, so one-off allocations are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 256 * 256 * 8
 
 
 @pytest.mark.parametrize("algo", ["diffusion", "directional"])
@@ -470,6 +492,18 @@ def test_bench_end_to_end(tmp_path, capsys):
     assert len(agg_lines) == 1 + 2
     assert lines[1].endswith(",True")
     assert "wrote" in capsys.readouterr().out
+
+
+def test_bench_quotes_an_image_id_holding_a_comma_and_a_quote(tmp_path):
+    img_dir = tmp_path / "images"
+    img_dir.mkdir()
+    write_image(np.random.default_rng(56).uniform(size=(16, 16)), img_dir / 'a,"b.pgm')
+    csv_path = tmp_path / "results.csv"
+    assert main(["bench", "--images", str(img_dir), "--out", str(csv_path), "--algos", "diffusion-diamond", "--text", "x"]) == EXIT_OK
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 7
+    assert row[:3] == ['a,"b', "text-scale2", "diffusion-diamond"]
 
 
 def test_bench_mask_ids_order_and_repeated_fractions(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, diffuse
 from inpaintkit.directional import PatchGrid, build_patch_grid, diffuse_patches, inpaint_directional
 from inpaintkit.kernels import diag_kernel, diamond_kernel
-from inpaintkit.masks import apply_damage, random_mask
+from inpaintkit.masks import apply_damage, random_mask, text_mask
 
 from oracles import harmonic_fill
 
@@ -256,3 +256,24 @@ def test_traced_peak_stays_within_eight_images(run):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * damaged.nbytes
+
+
+@pytest.mark.parametrize(
+    "run, images",
+    [(lambda d, m, grid: diffuse(d, m, diamond_kernel()), 2.25), (lambda d, m, grid: diffuse_patches(d, m, grid), 2.6)],
+    ids=["diffuse", "diffuse_patches"],
+)
+def test_traced_peak_under_a_text_mask(run, images):
+    # the first delta squares the stack a chunk at a time, and the per-cell
+    # state is freed before the output image is allocated
+    mask = text_mask(256, 256, "Lorem ipsum dolor sit amet", scale=3)
+    damaged = apply_damage(np.random.default_rng(14).uniform(size=(256, 256)), mask)
+    grid = build_patch_grid(damaged, 16)
+    run(damaged, mask, grid)  # warm-up, so one-off allocations are not counted
+    tracemalloc.start()
+    try:
+        run(damaged, mask, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= images * damaged.nbytes

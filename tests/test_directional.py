@@ -119,6 +119,29 @@ def test_stacked_engine_matches_the_reference_patch_loop():
     assert np.array_equal(whole.image, ref)
 
 
+def test_first_delta_summed_in_chunks_keeps_every_bit():
+    # 256x256 with patch 64 is one stack of sixteen 66x66 windows: a chunk of
+    # 15 and a last chunk of one. Window 5's region and ring are all zero, so
+    # its first delta is 0 and it never steps.
+    rng = np.random.default_rng(26)
+    base = rng.uniform(size=(256, 256))
+    base[63:129, 63:129] = 0.0
+    mask = random_mask(256, 256, 0.5, seed=27)
+    grid = build_patch_grid(base, 64)
+    cfg = DiffusionConfig(max_iters=400)
+    patches = [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)]
+    ref, counts, _ = patch_loop(base, mask, patches, cfg.epsilon, cfg.max_iters)
+    assert counts[5] == 0 and min(np.delete(counts, 5)) > 0
+    singles = [
+        diffuse_patches(base, mask, PatchGrid(grid.coords[i : i + 1], grid.angles[i : i + 1], grid.kernels[i : i + 1]), cfg)
+        for i in range(len(grid))
+    ]
+    assert [r.iterations for r in singles] == counts
+    res = diffuse_patches(base, mask, grid, cfg)
+    assert np.array_equal(res.image, ref)
+    assert res.iterations == sum(counts)
+
+
 def test_patch_size_is_checked_before_the_estimate_pass():
     rng = np.random.default_rng(20)
     mask = random_mask(16, 16, 0.5, seed=11)
