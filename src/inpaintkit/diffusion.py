@@ -44,13 +44,16 @@ class DiffusionResult:
     converged: bool
 
 
-def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callback=None) -> DiffusionResult:
+def diffuse(
+    damaged, mask, kernel, config: DiffusionConfig | None = None, callback=None, *, _warm_start: bool = False
+) -> DiffusionResult:
     """Fill the missing pixels of an image by repeated kernel averaging.
 
     The image is one window whose four ring sides are ghost cells.
 
     Args:
-        damaged: image whose mask==0 pixels hold placeholder values.
+        damaged: image whose mask==0 pixels hold placeholder values, the
+            values the missing pixels start from.
         mask: 1 = known pixel (held fixed), 0 = missing.
         kernel: 3x3 non-negative weights; renormalized here defensively.
         config: convergence threshold and iteration cap.
@@ -67,10 +70,12 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
             is not 3x3 or has a negative or non-finite weight, or any NaN
             or infinite pixel, known or missing.
     """
+    # _warm_start is private: inpaint_directional's estimate pass runs through
+    # here with it, so one callback adapter serves both; see _solve_windows
     damaged = as_image(damaged)
     on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0]))
     image, iterations, deltas, converged = _solve_windows(
-        damaged, mask, np.array([[0, 0, *damaged.shape]]), [kernel], config, on_step
+        damaged, mask, np.array([[0, 0, *damaged.shape]]), [kernel], config, on_step, _warm_start
     )
     return DiffusionResult(image, int(iterations[0]), float(deltas[0]), bool(converged[0]))
 
@@ -89,7 +94,7 @@ def _require_disjoint(shape, coords, groups) -> None:
         raise ValueError("regions overlap; each pixel may belong to at most one region")
 
 
-def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None):
+def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None, warm_start=False):
     """Masked Jacobi on regions of an image, one 3x3 kernel per region.
 
     coords is a (P, 4) array of (top, left, height, width) rows; regions
@@ -99,7 +104,11 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     The stack is one gather from the zero-padded image, so a window's
     first delta is the norm of its ring-extended window clipped to the
     image, summed over whole windows a bounded chunk at a time; ghost
-    cells are refreshed before every step. A step computes
+    cells are refreshed before every step. With warm_start, every missing
+    pixel of the padded image is set to the mean of the known pixels
+    before the gather, so the placeholders are never read; a mask with no
+    known pixel keeps them. A window without missing cells is converged
+    from the start, with delta 0, and takes no step. A step computes
     the missing cells only: they are held as flat stack indices in
     window-major order, so each tap is a gather at a constant offset,
     their current values are kept beside the stack as one vector, and
@@ -133,6 +142,8 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     groups = group_by_shape(coords)
     _require_disjoint(image.shape, coords, groups)
     cfg = config if config is not None else DiffusionConfig()
+    # taken after the finiteness check, so a non-finite placeholder raises instead of spreading
+    fill = image[mask == 1].mean() if warm_start and mask.any() else None
 
     out = None  # allocated at the first write-back, so no output image is live while a stack steps
     iterations = np.zeros(len(coords), dtype=np.int64)
@@ -143,7 +154,11 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         # window (t, l) of the zero-padded image is the region at (t, l) inside
         # its ring; ghost cells hold 0 until the first step refreshes them, so
         # the first delta counts the cells inside the image only
-        win = sliding_window_view(np.pad(image, 1), (h + 2, w + 2))[tops, lefts]
+        padded = np.pad(image, 1)
+        if fill is not None:
+            padded[1:-1, 1:-1][mask == 0] = fill
+        win = sliding_window_view(padded, (h + 2, w + 2))[tops, lefts]
+        del padded  # the stack is a copy, so the padded image goes before any step
         # whole windows per chunk, so each window's sum keeps its bits
         per = max(1, _STACK_ELEMENTS_PER_CHUNK // win[0].size)
         for start in range(0, len(idx), per):
@@ -154,16 +169,17 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         ghost_top, ghost_bottom, ghost_left, ghost_right = (
             np.flatnonzero(g) for g in (tops == 0, tops + h == image.shape[0], lefts == 0, lefts + w == image.shape[1])
         )
+        sizes = np.count_nonzero(free, axis=(1, 2))
+        deltas[idx[sizes == 0]] = 0.0  # a window without missing cells is converged and takes no step
         delta, count = deltas[idx], iterations[idx]
         running = (delta > cfg.epsilon) & (count < cfg.max_iters)
         # the missing cells of running windows, as flat indices shifted back by
         # the (0, 0) tap's offset: tap (r, c) gathers flat[r * stride + c:][cells]
         cells = np.flatnonzero(free & running[:, None, None])
         cells -= stride + 1
-        # the running windows with missing cells, in stack order, and their cell counts
-        sizes = np.count_nonzero(free, axis=(1, 2))
         del free
-        owners = np.flatnonzero(running & (sizes > 0))
+        # the running windows, in stack order, and their cell counts
+        owners = np.flatnonzero(running)
         sizes = sizes[owners]
         starts = np.cumsum(sizes) - sizes
         # row-major taps, the order the sum is accumulated in; a tap is skipped
@@ -196,7 +212,6 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                     acc[:m] += term
             step = np.subtract(acc[:m], x[:m], out=tmp[:m])
             step *= step
-            delta[running] = 0.0  # a running window without missing cells steps with delta 0
             delta[owners] = np.sqrt(np.add.reduceat(step, starts))
             count += running
             centre[cells] = acc[:m]

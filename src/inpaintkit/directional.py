@@ -1,10 +1,11 @@
 """Directional inpainting: per-patch diffusion with orientation-matched kernels.
 
-Pipeline: run a regular diamond-kernel diffusion pass to get a first
-estimate, estimate an orientation angle for every patch of that estimate,
-rotate the diagonal kernel to all the angles in one call, then re-diffuse
-every patch with its own kernel, one window stack per patch shape, and
-write the patch interiors back. Patch runs read their surroundings from
+Pipeline: run a regular diamond-kernel diffusion pass, started from the
+mean of the known pixels, to get a first estimate, estimate an
+orientation angle for every patch of that estimate, rotate the diagonal
+kernel to all the angles in one call, then re-diffuse every patch with
+its own kernel, one window stack per patch shape, and write the patch
+interiors back. Patch runs read their surroundings from
 the estimate, never from concurrently updated neighbours, so the output
 does not depend on patch evaluation order.
 """
@@ -97,6 +98,13 @@ def inpaint_directional(
     orientations from that estimate, then re-diffuses each patch with a
     kernel rotated to its angle. Known pixels pass through untouched.
 
+    The estimate starts every missing pixel at the mean of the known
+    pixels, so the placeholder values in damaged are never read and only
+    the known pixels shape the result; a mask with no known pixel starts
+    from the placeholders. diffuse itself still starts from the values it
+    is given. The mean is taken after the finiteness check, so a NaN or
+    infinite placeholder still raises ValueError.
+
     callback, if given, is passed to the estimate pass only and is called
     as callback(iteration, image) after each of its iterations, with a
     read-only view of the live iterate as in diffuse; the per-patch runs
@@ -107,7 +115,7 @@ def inpaint_directional(
     """
     patch_size = as_int(patch_size, "patch_size")
     split_into_patches(*as_image(damaged).shape, patch_size)
-    estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
+    estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback, _warm_start=True)
     grid = build_patch_grid(estimate.image, patch_size)
     patched = diffuse_patches(estimate.image, mask, grid, config)
     return DirectionalResult(

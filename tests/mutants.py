@@ -103,16 +103,16 @@ MUTANTS = (
     Mutant(
         "overwrite-frozen-deltas",
         DIFFUSION,
-        "delta[running] = 0.0",
-        "delta[:] = 0.0",
+        "delta[owners] = np.sqrt(np.add.reduceat(step, starts))",
+        "delta[:] = 0.0; delta[owners] = np.sqrt(np.add.reduceat(step, starts))",
         "a step zeroes the final delta of windows that already stopped",
     ),
     Mutant(
         "no-zero-delta-without-cells",
         DIFFUSION,
-        "delta[running] = 0.0  # a running window without missing cells steps with delta 0",
-        "pass  # a running window without missing cells keeps its first delta",
-        "a window without missing cells never converges and runs to the cap",
+        "deltas[idx[sizes == 0]] = 0.0",
+        "pass",
+        "a window without missing cells keeps its first delta and steps without cells to step",
     ),
     Mutant(
         "no-acc-x-swap",
@@ -134,6 +134,20 @@ MUTANTS = (
         "np.pad(image, 1)",
         'np.pad(image, 1, mode="edge")',
         "the first delta counts ghost cells as copies of the image edge",
+    ),
+    Mutant(
+        "warm-start-fill-dropped",
+        DIFFUSION,
+        "padded[1:-1, 1:-1][mask == 0] = fill",
+        "pass",
+        "the directional estimate starts from the placeholders, not from the mean of the known pixels",
+    ),
+    Mutant(
+        "warm-start-mean-of-all-pixels",
+        DIFFUSION,
+        "image[mask == 1].mean()",
+        "image.mean()",
+        "the directional estimate's start is the mean of all pixels, placeholders included",
     ),
     Mutant(
         "overlapping-regions-accepted",

@@ -134,7 +134,8 @@ def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):
     shifted copies tap by tap in row-major order (zero taps skipped), put
     the known pixels back. Stops when the Frobenius distance between
     consecutive iterates, starting from the all-zero image, is at most
-    epsilon or after max_iters steps. Returns (image, iterations, delta).
+    epsilon or after max_iters steps. An image without a missing pixel
+    takes no step, with delta 0. Returns (image, iterations, delta).
     """
     original = np.asarray(damaged, dtype=np.float64)
     known = np.asarray(mask) == 1
@@ -142,7 +143,7 @@ def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):
     k = k / k.sum()
     rows, cols = original.shape
     cur = original.copy()
-    delta = float(np.sqrt(np.sum(cur * cur)))
+    delta = 0.0 if known.all() else float(np.sqrt(np.sum(cur * cur)))
     iterations = 0
     while delta > epsilon and iterations < max_iters:
         padded = np.pad(cur, 1, mode="edge")

@@ -68,12 +68,14 @@ def test_one_step_rejects_wrong_kernel_shape():
         _one_step(np.ones((4, 4)), np.ones((5, 5)))
 
 
-def test_all_known_mask_converges_in_one_iteration():
+def test_all_known_mask_takes_no_step():
+    # nothing is missing, so the run is converged before its first step
     rng = np.random.default_rng(1)
     img = rng.uniform(0.1, 1.0, size=(8, 8))
     mask = np.ones((8, 8), dtype=np.uint8)
-    res = diffuse(img, mask, diamond_kernel())
-    assert res.iterations == 1
+    calls = []
+    res = diffuse(img, mask, diamond_kernel(), callback=lambda i, cur: calls.append(i))
+    assert res.iterations == 0 and calls == []
     assert res.final_delta == 0.0
     assert res.converged
     assert np.array_equal(res.image, img)
@@ -84,6 +86,7 @@ def test_all_zero_image_needs_no_iterations():
     # already at zero and the loop never runs
     img = np.zeros((6, 6))
     mask = np.ones((6, 6), dtype=np.uint8)
+    mask[3, 3] = 0
     res = diffuse(img, mask, diamond_kernel())
     assert res.iterations == 0
     assert res.converged

@@ -99,7 +99,9 @@ def test_stacked_engine_matches_the_reference_patch_loop():
     mask = random_mask(45, 38, 0.5, seed=10)
     damaged = apply_damage(img, mask)
     cfg = DiffusionConfig(max_iters=300)
-    estimate, _, _ = jacobi_loop(damaged, mask, diamond_kernel(), cfg.epsilon, cfg.max_iters)
+    # the estimate pass starts every missing pixel at the mean of the known ones
+    start = np.where(mask == 1, damaged, damaged[mask == 1].mean())
+    estimate, estimate_iterations, _ = jacobi_loop(start, mask, diamond_kernel(), cfg.epsilon, cfg.max_iters)
     grid = build_patch_grid(estimate, 8)
     patches = [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)]
     ref, counts, deltas = patch_loop(estimate, mask, patches, cfg.epsilon, cfg.max_iters)
@@ -116,7 +118,33 @@ def test_stacked_engine_matches_the_reference_patch_loop():
     assert len(set(counts)) > 1
     whole = inpaint_directional(damaged, mask, 8, cfg)
     assert np.array_equal(whole.estimate.image, estimate)
+    assert whole.estimate.iterations == estimate_iterations
     assert np.array_equal(whole.image, ref)
+
+
+def test_the_estimate_starts_from_the_known_pixels_only():
+    # every missing pixel starts the estimate at the mean of the known ones, so
+    # inputs that differ only in their placeholders give the same run bit for bit
+    rng = np.random.default_rng(27)
+    img = rng.uniform(size=(40, 36))
+    mask = random_mask(40, 36, 0.4, seed=28)
+    zeros = apply_damage(img, mask)
+    noise = np.where(mask == 1, img, rng.uniform(size=img.shape))
+    a, b = (inpaint_directional(d, mask, 8) for d in (zeros, noise))
+    assert np.array_equal(a.estimate.image, b.estimate.image) and np.array_equal(a.image, b.image)
+    assert (a.estimate.iterations, a.iterations) == (b.estimate.iterations, b.iterations)
+    # diffuse still starts from the values it is given
+    assert not np.array_equal(diffuse(zeros, mask, diamond_kernel()).image, diffuse(noise, mask, diamond_kernel()).image)
+
+
+def test_a_mask_without_known_pixels_starts_the_estimate_from_the_input():
+    # there is no known pixel to take a mean of, so the estimate is diffuse's run
+    img = np.random.default_rng(29).uniform(size=(12, 10))
+    mask = np.zeros((12, 10), dtype=np.uint8)
+    cfg = DiffusionConfig(max_iters=30)
+    res = inpaint_directional(img, mask, 4, cfg)
+    plain = diffuse(img, mask, diamond_kernel(), cfg)
+    assert np.array_equal(res.estimate.image, plain.image) and res.estimate.iterations == plain.iterations == 30
 
 
 def test_first_delta_summed_in_chunks_keeps_every_bit():
@@ -227,8 +255,9 @@ def test_aggregate_diagnostics():
     assert res.converged
     assert res.final_delta <= DiffusionConfig().epsilon
     assert len(res.grid) == 9
-    # capped so only the estimate misses the threshold: final_delta reports it
-    capped = inpaint_directional(damaged, mask, patch_size=8, config=DiffusionConfig(max_iters=12))
+    # capped so only the estimate misses the threshold: final_delta reports it.
+    # The estimate needs 12 steps from its warm start, the patches at most 10
+    capped = inpaint_directional(damaged, mask, patch_size=8, config=DiffusionConfig(max_iters=10))
     assert not capped.estimate.converged and not capped.converged
     assert capped.final_delta == capped.estimate.final_delta > DiffusionConfig().epsilon
 
