@@ -20,8 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import as_image, as_int, as_mask, group_by_shape, require_finite, require_same_shape
 from .kernels import normalize
 
-_STACK_ELEMENTS_PER_CHUNK = 1 << 16  # bounds the first delta's squares, 512 KiB per chunk
-
 
 @dataclass(frozen=True)
 class DiffusionConfig:
@@ -49,7 +47,9 @@ def diffuse(
 ) -> DiffusionResult:
     """Fill the missing pixels of an image by repeated kernel averaging.
 
-    The image is one window whose four ring sides are ghost cells.
+    The image is one window whose four ring sides are ghost cells. A run
+    with a missing pixel takes at least one step and stops once a step
+    moves the image by at most epsilon; a run without one takes none.
 
     Args:
         damaged: image whose mask==0 pixels hold placeholder values, the
@@ -101,23 +101,21 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     must lie inside the image and must not overlap.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
-    The stack is one gather from the zero-padded image, so a window's
-    first delta is the norm of its ring-extended window clipped to the
-    image, summed over whole windows a bounded chunk at a time; ghost
-    cells are refreshed before every step. With warm_start, every missing
-    pixel of the padded image is set to the mean of the known pixels
-    before the gather, so the placeholders are never read; a mask with no
-    known pixel keeps them. A window without missing cells is converged
-    from the start, with delta 0, and takes no step. A step computes
-    the missing cells only: they are held as flat stack indices in
-    window-major order, so each tap is a gather at a constant offset,
+    The stack is one gather from the padded image; ghost cells are
+    refreshed before every step. With warm_start, every missing pixel of
+    the padded image is set to the mean of the known pixels before the
+    gather, so the placeholders are never read; a mask with no known
+    pixel keeps them. A window steps while it has missing cells, its last
+    step moved it by more than epsilon and it is under the cap; a window
+    without missing cells takes no step and reports delta 0. A step
+    computes the missing cells only: they are held as flat stack indices
+    in window-major order, so each tap is a gather at a constant offset,
     their current values are kept beside the stack as one vector, and
     the per-window deltas are segment sums over each window's run of
-    cells. Per window only its cell count is kept: a per-window weight
-    or running flag is repeated by the counts where a per-cell one is
-    needed, and the segment starts are the counts' running sums,
-    recomputed only when windows drop out. Each window stops on its own
-    threshold or cap, and its cells are then dropped from the step.
+    cells. Per running window only its cell count is kept: a per-window
+    weight is repeated by the counts where a per-cell one is needed, and
+    the segment starts are the counts' running sums, recomputed only
+    when windows drop out, whose cells are then dropped from the step.
     on_step(counts, interiors), if given, is called after every step
     with the live counts and a read-only view of the live interiors.
     Returns a copy of the image, allocated at the first write-back once
@@ -151,37 +149,30 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     for (h, w), idx in groups.items():
         stride = w + 2
         tops, lefts = coords[idx, :2].T
-        # window (t, l) of the zero-padded image is the region at (t, l) inside
-        # its ring; ghost cells hold 0 until the first step refreshes them, so
-        # the first delta counts the cells inside the image only
+        # window (t, l) of the padded image is the region at (t, l) inside its
+        # ring; the pad lies under ghost cells only, which every step refreshes first
         padded = np.pad(image, 1)
         if fill is not None:
             padded[1:-1, 1:-1][mask == 0] = fill
         win = sliding_window_view(padded, (h + 2, w + 2))[tops, lefts]
         del padded  # the stack is a copy, so the padded image goes before any step
-        # whole windows per chunk, so each window's sum keeps its bits
-        per = max(1, _STACK_ELEMENTS_PER_CHUNK // win[0].size)
-        for start in range(0, len(idx), per):
-            part = win[start : start + per]
-            deltas[idx[start : start + per]] = np.sqrt(np.sum(part * part, axis=(1, 2)))
         free = np.zeros(win.shape, dtype=bool)  # missing interior cells
         free[:, 1:-1, 1:-1] = sliding_window_view(mask, (h, w))[tops, lefts] == 0
         ghost_top, ghost_bottom, ghost_left, ghost_right = (
             np.flatnonzero(g) for g in (tops == 0, tops + h == image.shape[0], lefts == 0, lefts + w == image.shape[1])
         )
-        sizes = np.count_nonzero(free, axis=(1, 2))
-        deltas[idx[sizes == 0]] = 0.0  # a window without missing cells is converged and takes no step
-        delta, count = deltas[idx], iterations[idx]
-        running = (delta > cfg.epsilon) & (count < cfg.max_iters)
-        # the missing cells of running windows, as flat indices shifted back by
-        # the (0, 0) tap's offset: tap (r, c) gathers flat[r * stride + c:][cells]
-        cells = np.flatnonzero(free & running[:, None, None])
+        # the missing cells, as flat indices shifted back by the (0, 0) tap's
+        # offset: tap (r, c) gathers flat[r * stride + c:][cells]
+        cells = np.flatnonzero(free)
         cells -= stride + 1
+        sizes = np.count_nonzero(free, axis=(1, 2))
         del free
-        # the running windows, in stack order, and their cell counts
-        owners = np.flatnonzero(running)
+        # the running windows, in stack order, and their cell counts; a window
+        # without missing cells never runs
+        owners = np.flatnonzero(sizes)
         sizes = sizes[owners]
         starts = np.cumsum(sizes) - sizes
+        delta, count = deltas[idx], iterations[idx]
         # row-major taps, the order the sum is accumulated in; a tap is skipped
         # when it is zero in every kernel and is a scalar when they all agree
         taps = []
@@ -196,7 +187,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         inner.flags.writeable = False  # on_step may read the live interiors, never write them
         acc, x, tmp = np.empty((3, len(cells)))
         np.take(centre, cells, out=x, mode="clip")  # the cells' current values
-        while running.any():
+        while len(owners):
             # ghost sides copy the interior edge; full-length copies also fill the corners
             win[ghost_top, 0] = win[ghost_top, 1]
             win[ghost_bottom, -1] = win[ghost_bottom, -2]
@@ -213,15 +204,13 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
             step = np.subtract(acc[:m], x[:m], out=tmp[:m])
             step *= step
             delta[owners] = np.sqrt(np.add.reduceat(step, starts))
-            count += running
+            count[owners] += 1
             centre[cells] = acc[:m]
             acc, x = x, acc
             if on_step is not None:
                 on_step(count, inner)
-            stopped = running & ~((delta > cfg.epsilon) & (count < cfg.max_iters))
-            if stopped.any():
-                running &= ~stopped
-                alive = running[owners]
+            alive = (delta[owners] > cfg.epsilon) & (count[owners] < cfg.max_iters)
+            if not alive.all():
                 keep = np.repeat(alive, sizes)
                 cells = cells[keep]
                 x[: len(cells)] = x[:m][keep]

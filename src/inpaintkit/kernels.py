@@ -86,9 +86,13 @@ def rotate_kernel(theta_deg) -> np.ndarray:
     180 degrees apart give the same kernel up to floating point noise. A
     scalar angle gives one (3, 3) kernel, an array of angles of shape S
     an S + (3, 3) stack, rotated at most 4,096 angles at a time into the
-    preallocated output.
+    preallocated output. Raises ValueError, before any work, if an angle
+    is NaN or infinite.
     """
     theta = np.asarray(theta_deg, dtype=np.float64)
+    bad = theta.size - int(np.count_nonzero(np.isfinite(theta)))
+    if bad:
+        raise ValueError(f"{bad} NaN or infinite angle(s); angles must be finite")
     out = np.empty(theta.shape + (3, 3))
     angles, kernels = theta.reshape(-1), out.reshape(-1, 3, 3)
     y, x = np.mgrid[-1:2, -1:2].astype(np.float64)

@@ -60,6 +60,9 @@ class Mutant:
 # Left out as equivalent: pairing index i with (i - 1) mod n instead of
 # (i + 1) mod n in patch_angles. A circular difference sum does not depend on
 # the shift's direction, so only the summation order could tell them apart.
+# Also left out: padding the engine's image by edge replication instead of
+# zeros. The pad lies under ghost cells only, and ghosts are refreshed before
+# every step, so the pad's values are never read.
 DIFFUSION = "src/inpaintkit/diffusion.py"
 DIRECTIONALITY = "src/inpaintkit/directionality.py"
 IMAGE_IO = "src/inpaintkit/image_io.py"
@@ -73,20 +76,6 @@ MUTANTS = (
         "a tap that is zero in any kernel of a stack is skipped for every kernel",
     ),
     Mutant(
-        "first-delta-interior-only",
-        DIFFUSION,
-        "np.sqrt(np.sum(part * part, axis=(1, 2)))",
-        "np.sqrt(np.sum(part[:, 1:-1, 1:-1] ** 2, axis=(1, 2)))",
-        "the first delta leaves out the halo ring",
-    ),
-    Mutant(
-        "first-delta-last-chunk-skipped",
-        DIFFUSION,
-        "for start in range(0, len(idx), per):",
-        "for start in range(0, len(idx) - per, per):",
-        "the windows of a stack's last first-delta chunk keep delta 0 and never step",
-    ),
-    Mutant(
         "per-cell-state-kept-at-write-back",
         DIFFUSION,
         "cells = acc = x = tmp = term = step = keep = None",
@@ -96,8 +85,8 @@ MUTANTS = (
     Mutant(
         "no-freezing",
         DIFFUSION,
-        "if stopped.any():",
-        "if (stopped == running).all():",
+        "if not alive.all():",
+        "if not alive.any():",
         "a stopped window keeps stepping until every window of its stack stops",
     ),
     Mutant(
@@ -108,11 +97,18 @@ MUTANTS = (
         "a step zeroes the final delta of windows that already stopped",
     ),
     Mutant(
-        "no-zero-delta-without-cells",
+        "windows-without-cells-step",
         DIFFUSION,
-        "deltas[idx[sizes == 0]] = 0.0",
-        "pass",
-        "a window without missing cells keeps its first delta and steps without cells to step",
+        "owners = np.flatnonzero(sizes)",
+        "owners = np.arange(len(sizes))",
+        "a window without missing cells steps",
+    ),
+    Mutant(
+        "stopped-count-keeps-rising",
+        DIFFUSION,
+        "count[owners] += 1",
+        "count += 1",
+        "a stopped window's count keeps rising",
     ),
     Mutant(
         "no-acc-x-swap",
@@ -127,13 +123,6 @@ MUTANTS = (
         "x[: len(cells)] = x[:m][keep]",
         "x[: len(cells)] = x[: len(cells)]",
         "after windows drop out, the kept cells' last values are misaligned",
-    ),
-    Mutant(
-        "edge-padded-first-delta",
-        DIFFUSION,
-        "np.pad(image, 1)",
-        'np.pad(image, 1, mode="edge")',
-        "the first delta counts ghost cells as copies of the image edge",
     ),
     Mutant(
         "warm-start-fill-dropped",
@@ -297,6 +286,13 @@ MUTANTS = (
         "stop = start + _ANGLES_PER_CHUNK",
         "stop = start + _ANGLES_PER_CHUNK - 1",
         "the last angle of every full 4,096-angle chunk is never rotated, its kernel left uninitialized",
+    ),
+    Mutant(
+        "rotate-lets-inf-angle-through",
+        KERNELS,
+        "np.count_nonzero(np.isfinite(theta))",
+        "np.count_nonzero(~np.isnan(theta))",
+        "an infinite angle passes the finiteness check and is rotated into an index error",
     ),
     Mutant(
         "normalize-lets-nan-sum-through",

@@ -133,9 +133,10 @@ def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):
     Repeats: pad the iterate by edge replication, sum the kernel-weighted
     shifted copies tap by tap in row-major order (zero taps skipped), put
     the known pixels back. Stops when the Frobenius distance between
-    consecutive iterates, starting from the all-zero image, is at most
-    epsilon or after max_iters steps. An image without a missing pixel
-    takes no step, with delta 0. Returns (image, iterations, delta).
+    consecutive iterates is at most epsilon or after max_iters steps, so
+    an image with a missing pixel takes at least one step. An image
+    without a missing pixel takes no step, with delta 0. Returns (image,
+    iterations, delta).
     """
     original = np.asarray(damaged, dtype=np.float64)
     known = np.asarray(mask) == 1
@@ -143,7 +144,7 @@ def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):
     k = k / k.sum()
     rows, cols = original.shape
     cur = original.copy()
-    delta = 0.0 if known.all() else float(np.sqrt(np.sum(cur * cur)))
+    delta = 0.0 if known.all() else np.inf
     iterations = 0
     while delta > epsilon and iterations < max_iters:
         padded = np.pad(cur, 1, mode="edge")

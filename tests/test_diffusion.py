@@ -20,7 +20,7 @@ def test_config_validation():
         DiffusionConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         DiffusionConfig(max_iters=0)
-    # an infinite threshold would stop the loop before the first step
+    # an infinite threshold would stop every run after exactly one step
     for eps in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
             DiffusionConfig(epsilon=eps)
@@ -81,21 +81,18 @@ def test_all_known_mask_takes_no_step():
     assert np.array_equal(res.image, img)
 
 
-def test_all_zero_image_needs_no_iterations():
-    # the first delta is measured against the zero image, so it is
-    # already at zero and the loop never runs
+def test_all_zero_image_converges_on_its_first_step():
+    # a run with a missing pixel takes a step before it can measure a
+    # change; from the zero image that step moves nothing, so it stops
     img = np.zeros((6, 6))
     mask = np.ones((6, 6), dtype=np.uint8)
     mask[3, 3] = 0
-    res = diffuse(img, mask, diamond_kernel())
-    assert res.iterations == 0
+    calls = []
+    res = diffuse(img, mask, diamond_kernel(), callback=lambda i, cur: calls.append(i))
+    assert res.iterations == 1 and calls == [1]
+    assert res.final_delta == 0.0
     assert res.converged
-    # only pixels inside the image count: a corner at 0.8 epsilon stays
-    # below it, although replicate padding repeats the corner three times
-    img[0, 0] = 0.8e-3
-    res = diffuse(img, mask, diamond_kernel())
-    assert res.iterations == 0
-    assert res.final_delta == pytest.approx(0.8e-3, rel=1e-12)
+    assert np.array_equal(res.image, img)
 
 
 def test_endpoint_row_fills_to_linear_interpolation():
@@ -267,8 +264,7 @@ def test_traced_peak_stays_within_eight_images(run):
     ids=["diffuse", "diffuse_patches"],
 )
 def test_traced_peak_under_a_text_mask(run, images):
-    # the first delta squares the stack a chunk at a time, and the per-cell
-    # state is freed before the output image is allocated
+    # the per-cell state is freed before the output image is allocated
     mask = text_mask(256, 256, "Lorem ipsum dolor sit amet", scale=3)
     damaged = apply_damage(np.random.default_rng(14).uniform(size=(256, 256)), mask)
     grid = build_patch_grid(damaged, 16)

@@ -147,10 +147,10 @@ def test_a_mask_without_known_pixels_starts_the_estimate_from_the_input():
     assert np.array_equal(res.estimate.image, plain.image) and res.estimate.iterations == plain.iterations == 30
 
 
-def test_first_delta_summed_in_chunks_keeps_every_bit():
-    # 256x256 with patch 64 is one stack of sixteen 66x66 windows: a chunk of
-    # 15 and a last chunk of one. Window 5's region and ring are all zero, so
-    # its first delta is 0 and it never steps.
+def test_an_all_zero_window_in_a_stack_steps_once():
+    # 256x256 with patch 64 is one stack of sixteen 66x66 windows. Window 5's
+    # region and ring are all zero, so its first step moves nothing and it
+    # stops there while the others run on.
     rng = np.random.default_rng(26)
     base = rng.uniform(size=(256, 256))
     base[63:129, 63:129] = 0.0
@@ -159,7 +159,7 @@ def test_first_delta_summed_in_chunks_keeps_every_bit():
     cfg = DiffusionConfig(max_iters=400)
     patches = [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)]
     ref, counts, _ = patch_loop(base, mask, patches, cfg.epsilon, cfg.max_iters)
-    assert counts[5] == 0 and min(np.delete(counts, 5)) > 0
+    assert counts[5] == 1 and min(np.delete(counts, 5)) > 1
     singles = [
         diffuse_patches(base, mask, PatchGrid(grid.coords[i : i + 1], grid.angles[i : i + 1], grid.kernels[i : i + 1]), cfg)
         for i in range(len(grid))
@@ -168,6 +168,15 @@ def test_first_delta_summed_in_chunks_keeps_every_bit():
     res = diffuse_patches(base, mask, grid, cfg)
     assert np.array_equal(res.image, ref)
     assert res.iterations == sum(counts)
+
+
+def test_an_angle_that_overflows_to_nan_is_refused():
+    # the shift sums of a finite image near the float64 limit overflow, so the
+    # patch's angle is NaN; rotate_kernel refuses it instead of indexing with it
+    img = np.random.default_rng(31).uniform(size=(16, 16)) * 1e306
+    mask = random_mask(16, 16, 0.3, seed=32)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="1 NaN or infinite angle"):
+        inpaint_directional(apply_damage(img, mask), mask, 16, DiffusionConfig(max_iters=20))
 
 
 def test_patch_size_is_checked_before_the_estimate_pass():
@@ -193,8 +202,8 @@ def test_a_patch_past_the_image_is_one_whole_image_patch():
 
 
 def test_a_zero_patch_beside_a_bright_one_steps_from_its_halo():
-    # a patch's first delta spans its halo: a zero interior under a bright
-    # neighbour has not converged before its first step
+    # a zero interior under a bright neighbour reads the neighbour through its
+    # halo, so its steps fill it from above
     base = np.zeros((8, 8))
     base[:4] = 1.0
     mask = np.ones((8, 8), dtype=np.uint8)

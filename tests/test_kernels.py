@@ -9,6 +9,7 @@ oracles.rotate_kernel_direct for scalar and array input.
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ def test_rotate_kernel_matches_direct_bicubic_for_array_and_scalar_input():
         assert np.max(np.abs(k - expected)) <= 1e-12
         assert np.array_equal(rotate_kernel(float(theta)), k)
     assert rotate_kernel(np.array([[10.0, 20.0], [30.0, 40.0]])).shape == (2, 2, 3, 3)
+
+
+@pytest.mark.parametrize(
+    ("theta", "count"),
+    [(np.nan, 1), (np.inf, 1), (-np.inf, 1), (np.array([[0.0, np.nan], [30.0, np.inf]]), 2)],
+    ids=["nan", "inf", "-inf", "array"],
+)
+def test_rotate_kernel_refuses_non_finite_angles(theta, count):
+    # refused before any work: rotating a NaN angle would warn and then index with -2**63
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{count} NaN or infinite angle"):
+            rotate_kernel(theta)
 
 
 def test_rotate_kernel_chunks_match_a_call_on_each_slice():
