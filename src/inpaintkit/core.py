@@ -66,9 +66,10 @@ def split_into_patches(rows: int, cols: int, n: int) -> np.ndarray:
     Returns a read-only (P, 4) intp array of (top, left, height, width)
     rows. Trailing patches are clipped to the image boundary, so every
     pixel belongs to exactly one patch. An n past the image is clamped to
-    max(rows, cols): the one patch that covers the whole image.
+    max(rows, cols): the one patch that covers the whole image. A size
+    that is not an integer raises TypeError naming it.
     """
-    n = as_int(n, "patch size")
+    rows, cols, n = as_int(rows, "rows"), as_int(cols, "cols"), as_int(n, "patch size")
     if n < 2:
         raise ValueError(f"patch size must be >= 2, got {n}")
     if rows < 1 or cols < 1:

@@ -80,25 +80,12 @@ def diffuse(
     return DiffusionResult(image, int(iterations[0]), float(deltas[0]), bool(converged[0]))
 
 
-def _require_disjoint(shape, coords, groups) -> None:
-    """Raise ValueError if two regions share a pixel.
-
-    The later write-back would win, so the output would depend on region
-    order. Marks every region in one bool image, one scatter per shape
-    group; the image is freed on return, before any stack is built.
-    """
-    covered = np.zeros(shape, dtype=bool)
-    for (h, w), idx in groups.items():
-        sliding_window_view(covered, (h, w), writeable=True)[coords[idx, 0], coords[idx, 1]] = True
-    if np.count_nonzero(covered) < int(np.sum(coords[:, 2] * coords[:, 3])):
-        raise ValueError("regions overlap; each pixel may belong to at most one region")
-
-
 def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None, warm_start=False):
     """Masked Jacobi on regions of an image, one 3x3 kernel per region.
 
-    coords is a (P, 4) array of (top, left, height, width) rows; regions
-    must lie inside the image and must not overlap.
+    coords is a (P, 4) array of (top, left, height, width) rows: one
+    region or more, inside the image and disjoint. That is not checked
+    here; diffuse passes the whole image and diffuse_patches a tiling.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
     The stack is one gather from the padded image; ghost cells are
@@ -120,8 +107,8 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     with the live counts and a read-only view of the live interiors.
     Returns a copy of the image, allocated at the first write-back once
     the per-cell state is freed, with every interior written back in one
-    assignment per stack, and per
-    region the iterations, final deltas and converged flags.
+    assignment per stack, and per region the iterations, final deltas
+    and converged flags.
     """
     image = as_image(image)
     mask = as_mask(mask)
@@ -134,11 +121,7 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     if bad:
         raise ValueError(f"kernels have {bad} negative or non-finite weight(s); weights must be finite and >= 0")
     k = normalize(k)
-    bad = np.flatnonzero((coords[:, 0] + coords[:, 2] > image.shape[0]) | (coords[:, 1] + coords[:, 3] > image.shape[1]))
-    if len(bad):
-        raise ValueError(f"region {bad[0]} {coords[bad[0]].tolist()} runs past the {image.shape[0]}x{image.shape[1]} image")
     groups = group_by_shape(coords)
-    _require_disjoint(image.shape, coords, groups)
     cfg = config if config is not None else DiffusionConfig()
     # taken after the finiteness check, so a non-finite placeholder raises instead of spreading
     fill = image[mask == 1].mean() if warm_start and mask.any() else None
@@ -221,5 +204,5 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         # window (t, l) of out is the region at (t, l) itself
         out = image.copy() if out is None else out
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner
-    return image.copy() if out is None else out, iterations, deltas, deltas <= cfg.epsilon
+    return out, iterations, deltas, deltas <= cfg.epsilon
 

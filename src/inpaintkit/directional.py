@@ -12,44 +12,46 @@ does not depend on patch evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_image, as_int, group_by_shape, split_into_patches
+from .core import as_image, as_int, group_by_shape, require_same_shape, split_into_patches
 from .diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
 from .directionality import patch_angles
-from .kernels import diamond_kernel, rotate_kernel
+from .kernels import diamond_kernel, require_finite_angles, rotate_kernel
 
 
 @dataclass(frozen=True, eq=False)
 class PatchGrid:
-    """Patch layout with one angle and one kernel per patch.
+    """The n-by-n tiling of an image, with one angle and one kernel per patch.
 
-    Read-only arrays: coords (P, 4) rows of (top, left, height, width),
-    angles (P,) in degrees and kernels (P, 3, 3).
+    shape is the image's (rows, cols), held as two ints, and patch_size
+    the n it is tiled with. coords is not an argument: it is the
+    read-only (P, 4) array split_into_patches(*shape, patch_size) of
+    (top, left, height, width) rows. angles (P,) in degrees, which must
+    be finite, and kernels (P, 3, 3) are held as read-only arrays.
     """
 
-    coords: np.ndarray
+    shape: tuple[int, int]
+    patch_size: int
     angles: np.ndarray
     kernels: np.ndarray
+    coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, dtype in (("coords", np.intp), ("angles", np.float64), ("kernels", np.float64)):
-            value = np.array(getattr(self, name), dtype=dtype)
+        rows, cols = self.shape
+        object.__setattr__(self, "shape", (as_int(rows, "rows"), as_int(cols, "cols")))
+        object.__setattr__(self, "coords", split_into_patches(*self.shape, self.patch_size))
+        for name in ("angles", "kernels"):
+            value = np.array(getattr(self, name), dtype=np.float64)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 4:
-            raise ValueError(f"coords must be (P, 4) rows of (top, left, height, width), got shape {self.coords.shape}")
-        bad = np.flatnonzero((self.coords[:, :2] < 0).any(axis=1) | (self.coords[:, 2:] < 1).any(axis=1))
-        if len(bad):
-            raise ValueError(f"patch {bad[0]} {self.coords[bad[0]].tolist()}: top and left must be >= 0, height and width >= 1")
-        if not (len(self.coords) == len(self.angles) == len(self.kernels)):
-            raise ValueError(
-                "coords, angles and kernels must have equal length, got "
-                f"{len(self.coords)}/{len(self.angles)}/{len(self.kernels)}"
-            )
+        require_finite_angles(self.angles)
+        p = len(self.coords)
+        if self.angles.shape != (p,) or self.kernels.shape != (p, 3, 3):
+            raise ValueError(f"{p} patches take ({p},) angles and ({p}, 3, 3) kernels, got {self.angles.shape} and {self.kernels.shape}")
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -72,7 +74,7 @@ def build_patch_grid(image, patch_size: int) -> PatchGrid:
     angles = np.empty(len(coords))
     for (h, w), idx in group_by_shape(coords).items():
         angles[idx] = patch_angles(sliding_window_view(img, (h, w))[coords[idx, 0], coords[idx, 1]])
-    return PatchGrid(coords, angles, rotate_kernel(angles))
+    return PatchGrid(img.shape, patch_size, angles, rotate_kernel(angles))
 
 
 def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None = None) -> DiffusionResult:
@@ -82,9 +84,12 @@ def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None 
     the image border clips it. Halo pixels and the patch's known pixels
     hold their `base` values; missing pixels start from theirs and
     converge to the patch kernel's fill. Only patch interiors are written
-    back. Patches of one shape are solved as one stack. Overlapping
-    patches raise ValueError, since the later write-back would win.
+    back. Patches of one shape are solved as one stack. The grid tiles
+    its image, so no pixel is written twice; a base whose shape is not
+    grid.shape raises ValueError.
     """
+    base = as_image(base)
+    require_same_shape(base, grid, "base and grid")
     image, iterations, deltas, converged = _solve_windows(base, mask, grid.coords, grid.kernels, config)
     return DiffusionResult(image, int(iterations.sum()), float(deltas.max(initial=0.0)), bool(converged.all()))
 

@@ -30,7 +30,8 @@ def patch_angles(stack) -> np.ndarray:
     buffer: each circular difference is written into it by slices (a
     shift's wrapped row or column is its own block), made absolute in
     place and summed per patch, so a call allocates one stack-sized
-    array beyond its input.
+    array beyond its input. An input that is not 3-D raises ValueError;
+    an empty stack gives an empty result.
 
     Worked examples, exact up to float rounding:
       * constant patch: v = h = 0, d = 1, theta = 90.
@@ -41,6 +42,8 @@ def patch_angles(stack) -> np.ndarray:
         so d < 0.6 and theta = -theta1.
     """
     stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a (P, H, W) stack of patches, got shape {stack.shape}")
     n, rows, cols = stack.shape
     diff = np.empty(stack.shape)  # C order whatever the stack's, so the reshape below is a view
 
@@ -50,7 +53,7 @@ def patch_angles(stack) -> np.ndarray:
             for c, src_c in _wrap_slices(cols, dx):
                 np.subtract(stack[:, r, c], stack[:, src_r, src_c], out=diff[:, r, c])
         np.abs(diff, out=diff)
-        return diff.reshape(n, -1).sum(axis=1)
+        return diff.reshape(n, rows * cols).sum(axis=1)
 
     v = shift_sums(1, 0)
     h = shift_sums(0, 1)

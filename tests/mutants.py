@@ -64,6 +64,7 @@ class Mutant:
 # zeros. The pad lies under ghost cells only, and ghosts are refreshed before
 # every step, so the pad's values are never read.
 DIFFUSION = "src/inpaintkit/diffusion.py"
+DIRECTIONAL = "src/inpaintkit/directional.py"
 DIRECTIONALITY = "src/inpaintkit/directionality.py"
 IMAGE_IO = "src/inpaintkit/image_io.py"
 KERNELS = "src/inpaintkit/kernels.py"
@@ -139,15 +140,22 @@ MUTANTS = (
         "the directional estimate's start is the mean of all pixels, placeholders included",
     ),
     Mutant(
-        "overlapping-regions-accepted",
-        DIFFUSION,
-        "if np.count_nonzero(covered) < int(np.sum(coords[:, 2] * coords[:, 3])):",
-        "if np.count_nonzero(covered) < 0:",
-        "overlapping regions are solved, and the later write-back wins, so the output depends on region order",
+        "grid-shape-unchecked",
+        DIRECTIONAL,
+        'require_same_shape(base, grid, "base and grid")',
+        "pass",
+        "diffuse_patches solves a base of another shape than its grid's, whose patches miss or run past it",
+    ),
+    Mutant(
+        "grid-takes-nan-angles",
+        DIRECTIONAL,
+        "require_finite_angles(self.angles)",
+        "pass",
+        "a grid holds a NaN or infinite angle, for which the overlay draws nothing",
     ),
     Mutant(
         "half-up-overlay-rounding",
-        "src/inpaintkit/directional.py",
+        DIRECTIONAL,
         "r = np.rint((origins[:, :1] + (h - 1) / 2.0) + s * dy[idx, None]).astype(np.intp)\n"
         "        c = np.rint((origins[:, 1:] + (w - 1) / 2.0) + s * dx[idx, None]).astype(np.intp)",
         "r = np.floor((origins[:, :1] + (h - 1) / 2.0) + s * dy[idx, None] + 0.5).astype(np.intp)\n"
@@ -177,7 +185,7 @@ MUTANTS = (
     ),
     Mutant(
         "patch-size-checked-after-estimate",
-        "src/inpaintkit/directional.py",
+        DIRECTIONAL,
         "split_into_patches(*as_image(damaged).shape, patch_size)",
         "as_image(damaged).shape",
         "a patch size below 2 is refused only after the estimate pass has run",

@@ -16,8 +16,8 @@ import pytest
 
 from inpaintkit.bench import ALGORITHMS, run_algorithm
 from inpaintkit.core import mse
-from inpaintkit.diffusion import DiffusionConfig, diffuse
-from inpaintkit.directional import PatchGrid, build_patch_grid, diffuse_patches, inpaint_directional
+from inpaintkit.diffusion import DiffusionConfig, _solve_windows, diffuse
+from inpaintkit.directional import build_patch_grid, diffuse_patches, inpaint_directional
 from inpaintkit.directionality import patch_angles
 from inpaintkit.image_io import read_image, write_image
 from inpaintkit.kernels import diag_kernel, diamond_kernel, rotate_kernel
@@ -238,17 +238,19 @@ def test_fixed_point_and_determinism():
     dir_b = inpaint_directional(damaged, mask, patch_size=16, config=cfg)
 
     grid = build_patch_grid(dir_a.estimate.image, 16)
+    # a grid is always row-major, so the engine gets the permuted regions directly
     order = rng.permutation(len(grid))
-    shuffled = PatchGrid(grid.coords[order], grid.angles[order], grid.kernels[order])
-    out_fwd = diffuse_patches(dir_a.estimate.image, mask, grid, cfg)
-    out_shuf = diffuse_patches(dir_a.estimate.image, mask, shuffled, cfg)
+    out_fwd, counts_fwd, _, _ = _solve_windows(dir_a.estimate.image, mask, grid.coords, grid.kernels, cfg)
+    out_shuf, counts_shuf, _, _ = _solve_windows(dir_a.estimate.image, mask, grid.coords[order], grid.kernels[order], cfg)
 
     ok = (
         res_a.converged
         and extra_move <= cfg.epsilon
         and np.array_equal(res_a.image, res_b.image)
         and np.array_equal(dir_a.image, dir_b.image)
-        and np.array_equal(out_fwd.image, out_shuf.image)
+        and np.array_equal(out_fwd, out_shuf)
+        and np.array_equal(counts_shuf, counts_fwd[order])
+        and np.array_equal(diffuse_patches(dir_a.estimate.image, mask, grid, cfg).image, out_fwd)
     )
     _report(
         ok,

@@ -102,6 +102,13 @@ def test_split_rejects_tiny_patch_size():
         split_into_patches(0, 8, 4)
 
 
+@pytest.mark.parametrize("args, name", [((8.5, 8, 4), "rows"), ((8, 8.0, 4), "cols"), ((8, 8, 4.0), "patch size")], ids=["rows", "cols", "n"])
+def test_split_refuses_a_size_that_is_not_an_integer(args, name):
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        split_into_patches(*args)
+    assert split_into_patches(np.int64(8), np.int32(8), np.uint8(4)).tolist() == split_into_patches(8, 8, 4).tolist()
+
+
 def test_split_clamps_a_patch_past_the_image():
     assert np.array_equal(split_into_patches(8, 8, 10**30), split_into_patches(8, 8, 8))
     # a wide or tall image is one patch, not one per shorter side

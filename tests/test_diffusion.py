@@ -234,7 +234,7 @@ def test_bad_kernel_weight_raises(weight):
     kernels = grid.kernels.copy()
     kernels[4] = bad
     with pytest.raises(ValueError, match="1 negative or non-finite weight"):
-        diffuse_patches(damaged, mask, PatchGrid(grid.coords, grid.angles, kernels))
+        diffuse_patches(damaged, mask, PatchGrid(grid.shape, 8, grid.angles, kernels))
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from inpaintkit.core import mse, split_into_patches
-from inpaintkit.diffusion import DiffusionConfig, diffuse
+from inpaintkit.diffusion import DiffusionConfig, _solve_windows, diffuse
 from inpaintkit.directional import (
     PatchGrid,
     build_patch_grid,
@@ -48,12 +49,16 @@ def test_grid_counts_and_kernel_validity():
 
 
 def test_grid_length_mismatch_rejected():
-    coords = split_into_patches(8, 8, 4)
-    with pytest.raises(ValueError):
-        PatchGrid(coords, (0.0,), (diamond_kernel(),) * len(coords))
-    # lists and tuples still build a grid, held as read-only arrays of its own
-    angles = [0.0] * len(coords)
-    grid = PatchGrid(coords.tolist(), angles, (diamond_kernel(),) * len(coords))
+    with pytest.raises(ValueError, match=r"4 patches take \(4,\) angles and \(4, 3, 3\) kernels, got \(1,\) and \(4, 3, 3\)"):
+        PatchGrid((8, 8), 4, (0.0,), (diamond_kernel(),) * 4)
+    with pytest.raises(ValueError, match=r"got \(4,\) and \(3, 3, 3\)"):
+        PatchGrid((8, 8), 4, (0.0,) * 4, (diamond_kernel(),) * 3)
+    # lists and tuples still build a grid, held as read-only arrays of its own;
+    # the coords are the tiling of the shape, which is held as two ints
+    angles = [0.0] * 4
+    grid = PatchGrid(np.array([8, 8]), 4, angles, (diamond_kernel(),) * 4)
+    assert grid.shape == (8, 8) and all(type(n) is int for n in grid.shape)
+    assert np.array_equal(grid.coords, split_into_patches(8, 8, 4)) and len(grid) == 4
     assert grid.coords.shape == (4, 4) and grid.angles.shape == (4,) and grid.kernels.shape == (4, 3, 3)
     for field in (grid.coords, grid.angles, grid.kernels):
         assert not field.flags.writeable
@@ -82,8 +87,7 @@ def test_forced_diagonal_grid_matches_whole_image_run():
     damaged = apply_damage(img, mask)
     cfg = DiffusionConfig(epsilon=1e-10, max_iters=100_000)
 
-    coords = split_into_patches(20, 20, 10)
-    grid = PatchGrid(coords, (-45.0,) * len(coords), (rotate_kernel(-45.0),) * len(coords))
+    grid = PatchGrid((20, 20), 10, (-45.0,) * 4, (rotate_kernel(-45.0),) * 4)
     patched = diffuse_patches(damaged, mask, grid, cfg)
     whole = diffuse(damaged, mask, diag_kernel(), cfg)
     oracle = harmonic_fill(damaged, mask, diag_kernel())
@@ -110,11 +114,9 @@ def test_stacked_engine_matches_the_reference_patch_loop():
     assert np.array_equal(res.image, ref)
     assert res.iterations == sum(counts)
     assert res.final_delta == pytest.approx(max(deltas), rel=1e-12, abs=0.0)
-    singles = [
-        diffuse_patches(estimate, mask, PatchGrid(grid.coords[i : i + 1], grid.angles[i : i + 1], grid.kernels[i : i + 1]), cfg)
-        for i in range(len(grid))
-    ]
-    assert [r.iterations for r in singles] == counts
+    # each patch alone in the engine takes as many steps as it takes in the stack
+    singles = [_solve_windows(estimate, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg)[1][0] for i in range(len(grid))]
+    assert singles == counts
     assert len(set(counts)) > 1
     whole = inpaint_directional(damaged, mask, 8, cfg)
     assert np.array_equal(whole.estimate.image, estimate)
@@ -160,11 +162,8 @@ def test_an_all_zero_window_in_a_stack_steps_once():
     patches = [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)]
     ref, counts, _ = patch_loop(base, mask, patches, cfg.epsilon, cfg.max_iters)
     assert counts[5] == 1 and min(np.delete(counts, 5)) > 1
-    singles = [
-        diffuse_patches(base, mask, PatchGrid(grid.coords[i : i + 1], grid.angles[i : i + 1], grid.kernels[i : i + 1]), cfg)
-        for i in range(len(grid))
-    ]
-    assert [r.iterations for r in singles] == counts
+    singles = [_solve_windows(base, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg)[1][0] for i in range(len(grid))]
+    assert singles == counts
     res = diffuse_patches(base, mask, grid, cfg)
     assert np.array_equal(res.image, ref)
     assert res.iterations == sum(counts)
@@ -208,8 +207,7 @@ def test_a_zero_patch_beside_a_bright_one_steps_from_its_halo():
     base[:4] = 1.0
     mask = np.ones((8, 8), dtype=np.uint8)
     mask[4:6, 2:6] = 0
-    coords = split_into_patches(8, 8, 4)
-    grid = PatchGrid(coords, np.zeros(len(coords)), (diamond_kernel(),) * len(coords))
+    grid = PatchGrid((8, 8), 4, np.zeros(4), (diamond_kernel(),) * 4)
     cfg = DiffusionConfig()
     res = diffuse_patches(base, mask, grid, cfg)
     ref, counts, _ = patch_loop(base, mask, [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)], cfg.epsilon, cfg.max_iters)
@@ -246,12 +244,13 @@ def test_patch_order_does_not_change_the_result():
     base = diffuse(damaged, mask, diamond_kernel())
     grid = build_patch_grid(base.image, 8)
 
+    # a grid is always row-major, so the engine gets the permuted regions directly
     order = rng.permutation(len(grid))
-    shuffled = PatchGrid(grid.coords[order], grid.angles[order], grid.kernels[order])
-    out_a = diffuse_patches(base.image, mask, grid)
-    out_b = diffuse_patches(base.image, mask, shuffled)
-    assert np.array_equal(out_a.image, out_b.image)
-    assert out_a.iterations == out_b.iterations
+    out_a, counts_a, _, _ = _solve_windows(base.image, mask, grid.coords, grid.kernels)
+    out_b, counts_b, _, _ = _solve_windows(base.image, mask, grid.coords[order], grid.kernels[order])
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(counts_b, counts_a[order]) and len(set(counts_a)) > 1
+    assert np.array_equal(diffuse_patches(base.image, mask, grid).image, out_a)
 
 
 def test_aggregate_diagnostics():
@@ -286,40 +285,42 @@ def test_clipped_patches_are_still_processed():
 
 
 @pytest.mark.parametrize(
-    "coords, message",
-    [
-        ([[-1, 0, 4, 4]], r"patch 0 \[-1, 0, 4, 4\]: top and left must be >= 0"),
-        ([[0, 0, 4, 4], [0, -2, 4, 4]], r"patch 1 \[0, -2, 4, 4\]: top and left must be >= 0"),
-        ([[0, 0, 0, 4]], r"height and width >= 1"),
-        ([[0, 0, 4, 0]], r"height and width >= 1"),
-        ([[0, 0, 4, 4, 0]], r"coords must be \(P, 4\) rows"),
-        ([0, 0, 4, 4], r"coords must be \(P, 4\) rows"),
-        ([[6, 0, 4, 4]], r"region 0 \[6, 0, 4, 4\] runs past the 8x8 image"),
-        ([[0, 0, 4, 4], [4, 5, 4, 4]], r"region 1 \[4, 5, 4, 4\] runs past the 8x8 image"),
-        # the later write-back would win, so the output would depend on patch order
-        ([[0, 0, 6, 6], [2, 2, 6, 6]], r"regions overlap"),
-    ],
-    ids=["negative-top", "negative-left", "zero-height", "zero-width", "five-columns", "flat", "past-bottom", "past-right", "overlap"],
+    "base_shape",
+    [(8, 12), (12, 9), (12, 7), (13, 8), (11, 8)],
+    ids=["transposed", "wider", "narrower", "taller", "shorter"],
 )
-def test_bad_patch_coords_rejected(coords, message):
-    mask = random_mask(8, 8, 0.5, seed=2)
-    damaged = apply_damage(np.full((8, 8), 0.5), mask)
-    with pytest.raises(ValueError, match=message):
-        diffuse_patches(damaged, mask, PatchGrid(coords, [0.0] * len(coords), [diamond_kernel()] * len(coords)))
+def test_a_base_of_another_shape_than_the_grid_is_refused(base_shape):
+    # a grid's patches tile its own shape: on a smaller base they would run
+    # past it, on a larger one they would leave pixels unsolved
+    grid = build_patch_grid(np.full((12, 8), 0.5), 4)
+    mask = random_mask(*base_shape, 0.5, seed=2)
+    damaged = apply_damage(np.full(base_shape, 0.5), mask)
+    with pytest.raises(ValueError, match=re.escape(f"base and grid differ in shape: {base_shape} vs (12, 8)")):
+        diffuse_patches(damaged, mask, grid)
+
+
+@pytest.mark.parametrize(
+    "angles, count",
+    [(np.nan, 1), ([0.0, np.inf, 45.0, -np.inf], 2), ([np.nan, 0.0, 0.0, 0.0], 1)],
+    ids=["scalar-nan", "inf-in-array", "nan-in-array"],
+)
+def test_a_grid_refuses_non_finite_angles(angles, count):
+    # the overlay would cast such an angle to an index and draw nothing for its patch
+    with pytest.raises(ValueError, match=f"{count} NaN or infinite angle"):
+        PatchGrid((8, 8), 4, angles, (diag_kernel(),) * 4)
 
 
 def test_overlay_draws_along_the_reported_angle():
     # odd patch side keeps the segment centre on an exact pixel
     img = np.zeros((15, 15))
-    coords = split_into_patches(15, 15, 15)
 
-    horiz = PatchGrid(coords, (90.0,), (diag_kernel(),))
+    horiz = PatchGrid((15, 15), 15, (90.0,), (diag_kernel(),))
     out = render_directionality_overlay(img, horiz)
     # theta = 90 paints the centre row, not the centre column
     assert out[7, :].sum() > 8
     assert out[:, 7].sum() <= 2
 
-    vert = PatchGrid(coords, (0.0,), (diag_kernel(),))
+    vert = PatchGrid((15, 15), 15, (0.0,), (diag_kernel(),))
     out = render_directionality_overlay(img, vert)
     assert out[:, 7].sum() > 8
     assert out[7, :].sum() <= 2
@@ -331,10 +332,10 @@ def test_overlay_matches_the_per_sample_loop():
     rng = np.random.default_rng(23)
     img = rng.uniform(size=(45, 38))
     for n in (2, 7, 8, 16, 45):
-        coords = split_into_patches(45, 38, n)
+        p = len(split_into_patches(45, 38, n))
         exact = [0.0, 45.0, 90.0, -45.0, 89.999, -89.999, 30.0, -60.0]
-        angles = (exact + rng.uniform(-90.0, 90.0, size=len(coords)).tolist())[: len(coords)]
-        grid = PatchGrid(coords, angles, (diag_kernel(),) * len(coords))
+        angles = (exact + rng.uniform(-90.0, 90.0, size=p).tolist())[:p]
+        grid = PatchGrid((45, 38), n, angles, (diag_kernel(),) * p)
         for g in (grid, build_patch_grid(img, n)):
             want = overlay_loop(img, [(*pc, a) for pc, a in zip(g.coords, g.angles)])
             assert np.array_equal(render_directionality_overlay(img, g), want), (n, g is grid)
@@ -384,12 +385,3 @@ def test_build_patch_grid_traced_peak_stays_within_three_images():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * img.nbytes
-
-
-def test_diffuse_patches_without_patches_returns_a_copy():
-    img = np.random.default_rng(24).uniform(size=(8, 8))
-    mask = random_mask(8, 8, 0.5, seed=25)
-    result = diffuse_patches(img, mask, PatchGrid(np.zeros((0, 4)), np.zeros(0), np.zeros((0, 3, 3))))
-    assert np.array_equal(result.image, img)
-    assert not np.shares_memory(result.image, img)
-    assert (result.iterations, result.final_delta, result.converged) == (0, 0.0, True)

@@ -162,3 +162,13 @@ def test_theta_rounded_past_90_wraps_to_just_above_minus_90():
     assert theta == unreduced - 180.0
     assert patch_angles(p[None])[0] == theta
     assert -90.0 < theta < -89.9
+
+
+def test_a_stack_that_is_not_three_dimensional_is_refused():
+    with pytest.raises(ValueError, match=r"expected a \(P, H, W\) stack of patches, got shape \(4, 4\)"):
+        patch_angles(_checkerboard(4))
+
+
+def test_an_empty_stack_has_no_angles():
+    angles = patch_angles(np.zeros((0, 4, 5)))
+    assert angles.shape == (0,) and angles.dtype == np.float64

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inpaintkit.core import split_into_patches
-from inpaintkit.diffusion import DiffusionConfig, diffuse
+from inpaintkit.diffusion import DiffusionConfig, _solve_windows, diffuse
 from inpaintkit.directional import PatchGrid, diffuse_patches
 from inpaintkit.kernels import diag_kernel, diamond_kernel, rotate_kernel
 
@@ -69,11 +69,11 @@ def test_diffuse_matches_reference_loop(case, kernel):
 @given(cases(), st.integers(2, 15), st.data())
 def test_diffuse_patches_matches_reference_loop(case, patch_size, data):
     image, mask, cfg = case
-    coords = split_into_patches(image.shape[0], image.shape[1], patch_size)
-    kernels = data.draw(st.lists(KERNELS, min_size=len(coords), max_size=len(coords)))
-    grid = PatchGrid(coords, [0.0] * len(coords), kernels)
+    p = len(split_into_patches(image.shape[0], image.shape[1], patch_size))
+    kernels = data.draw(st.lists(KERNELS, min_size=p, max_size=p))
+    grid = PatchGrid(image.shape, patch_size, [0.0] * p, kernels)
     res = diffuse_patches(image, mask, grid, cfg)
-    patches = [(*pc, k) for pc, k in zip(coords, kernels)]
+    patches = [(*pc, k) for pc, k in zip(grid.coords, kernels)]
     ref, counts, deltas = patch_loop(image, mask, patches, cfg.epsilon, cfg.max_iters)
     assert np.array_equal(res.image, ref)
     assert res.iterations == sum(counts)
@@ -81,7 +81,6 @@ def test_diffuse_patches_matches_reference_loop(case, patch_size, data):
     # the oracle's delta also spans the halo, which never moves, so only the summation order differs
     assert res.final_delta == pytest.approx(max(deltas), rel=1e-12, abs=0.0)
     assert np.array_equal(res.image[mask == 1], image[mask == 1])
-    # per-patch counts, one patch per grid
+    # per-patch counts, one patch per engine call
     for i, count in enumerate(counts):
-        one = PatchGrid(grid.coords[i : i + 1], grid.angles[i : i + 1], grid.kernels[i : i + 1])
-        assert diffuse_patches(image, mask, one, cfg).iterations == count
+        assert _solve_windows(image, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg)[1][0] == count
