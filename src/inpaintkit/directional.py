@@ -2,12 +2,12 @@
 
 Pipeline: run a regular diamond-kernel diffusion pass, started from the
 mean of the known pixels, to get a first estimate, estimate an
-orientation angle for every patch of that estimate, rotate the diagonal
-kernel to all the angles in one call, then re-diffuse every patch with
-its own kernel, one window stack per patch shape, and write the patch
-interiors back. Patch runs read their surroundings from
-the estimate, never from concurrently updated neighbours, so the output
-does not depend on patch evaluation order.
+orientation angle for every patch of that estimate, build the patch
+grid, which rotates the diagonal kernel to all the angles in one call,
+then re-diffuse every patch with its own kernel, one window stack per
+patch shape, and write the patch interiors back. Patch runs read their
+surroundings from the estimate, never from concurrently updated
+neighbours, so the output does not depend on patch evaluation order.
 """
 
 from __future__ import annotations
@@ -20,38 +20,38 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import as_image, as_int, group_by_shape, require_same_shape, split_into_patches
 from .diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
 from .directionality import patch_angles
-from .kernels import diamond_kernel, require_finite_angles, rotate_kernel
+from .kernels import diamond_kernel, rotate_kernel
 
 
 @dataclass(frozen=True, eq=False)
 class PatchGrid:
     """The n-by-n tiling of an image, with one angle and one kernel per patch.
 
-    shape is the image's (rows, cols), held as two ints, and patch_size
-    the n it is tiled with. coords is not an argument: it is the
-    read-only (P, 4) array split_into_patches(*shape, patch_size) of
-    (top, left, height, width) rows. angles (P,) in degrees, which must
-    be finite, and kernels (P, 3, 3) are held as read-only arrays.
+    shape is the image's (rows, cols), held as two ints, patch_size the n
+    it is tiled with, and angles the (P,) patch angles in degrees, held
+    as a read-only array. coords and kernels are not arguments: coords is
+    the read-only (P, 4) array split_into_patches(*shape, patch_size) of
+    (top, left, height, width) rows, and kernels the read-only (P, 3, 3)
+    rotate_kernel(angles), which refuses a NaN or infinite angle.
     """
 
     shape: tuple[int, int]
     patch_size: int
     angles: np.ndarray
-    kernels: np.ndarray
     coords: np.ndarray = field(init=False, repr=False)
+    kernels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows, cols = self.shape
         object.__setattr__(self, "shape", (as_int(rows, "rows"), as_int(cols, "cols")))
         object.__setattr__(self, "coords", split_into_patches(*self.shape, self.patch_size))
-        for name in ("angles", "kernels"):
-            value = np.array(getattr(self, name), dtype=np.float64)
+        angles = np.array(self.angles, dtype=np.float64)
+        for name, value in (("angles", angles), ("kernels", rotate_kernel(angles))):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        require_finite_angles(self.angles)
         p = len(self.coords)
-        if self.angles.shape != (p,) or self.kernels.shape != (p, 3, 3):
-            raise ValueError(f"{p} patches take ({p},) angles and ({p}, 3, 3) kernels, got {self.angles.shape} and {self.kernels.shape}")
+        if angles.shape != (p,):
+            raise ValueError(f"{p} patches take ({p},) angles, got {angles.shape}")
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -68,13 +68,13 @@ class DirectionalResult:
 
 
 def build_patch_grid(image, patch_size: int) -> PatchGrid:
-    """Split an image into patches and attach per-patch angles and kernels."""
+    """Split an image into patches and measure each patch's angle; the grid derives the kernels."""
     img = as_image(image)
     coords = split_into_patches(img.shape[0], img.shape[1], patch_size)
     angles = np.empty(len(coords))
     for (h, w), idx in group_by_shape(coords).items():
         angles[idx] = patch_angles(sliding_window_view(img, (h, w))[coords[idx, 0], coords[idx, 1]])
-    return PatchGrid(img.shape, patch_size, angles, rotate_kernel(angles))
+    return PatchGrid(img.shape, patch_size, angles)
 
 
 def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None = None) -> DiffusionResult:
@@ -139,19 +139,20 @@ def render_directionality_overlay(img, grid: PatchGrid) -> np.ndarray:
     Each segment passes through the patch centre at the patch's angle,
     with length 0.8 times the patch side. theta = 90 draws a horizontal
     segment and theta = 0 a vertical one, matching the direction the
-    rotated kernel diffuses along.
+    rotated kernel diffuses along. An image whose shape is not
+    grid.shape raises ValueError.
     """
     out = as_image(img).copy()
-    rows, cols = out.shape
+    require_same_shape(out, grid, "image and grid")
     t = np.radians(grid.angles)
     dx, dy = -np.sin(t), np.cos(t)
     for (h, w), idx in group_by_shape(grid.coords).items():
         origins = grid.coords[idx, :2]
         half = 0.4 * min(h, w)
         s = np.linspace(-half, half, max(int(np.ceil(4.0 * half)), 1))
-        # (patches, samples) points, rounded half to even like round()
+        # (patches, samples) points, rounded half to even like round(); each
+        # lies within 0.4 * min(h, w) of its patch centre, so inside its patch
         r = np.rint((origins[:, :1] + (h - 1) / 2.0) + s * dy[idx, None]).astype(np.intp)
         c = np.rint((origins[:, 1:] + (w - 1) / 2.0) + s * dx[idx, None]).astype(np.intp)
-        inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
-        out[r[inside], c[inside]] = 1.0
+        out[r, c] = 1.0
     return out

@@ -73,14 +73,6 @@ def _bicubic(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return total
 
 
-def require_finite_angles(theta: np.ndarray) -> np.ndarray:
-    """Return theta; a NaN or infinite angle raises ValueError, with the count of them."""
-    bad = theta.size - int(np.count_nonzero(np.isfinite(theta)))
-    if bad:
-        raise ValueError(f"{bad} NaN or infinite angle(s); angles must be finite")
-    return theta
-
-
 def rotate_kernel(theta_deg) -> np.ndarray:
     """Directional kernel for orientation angle theta, in degrees.
 
@@ -95,9 +87,12 @@ def rotate_kernel(theta_deg) -> np.ndarray:
     scalar angle gives one (3, 3) kernel, an array of angles of shape S
     an S + (3, 3) stack, rotated at most 4,096 angles at a time into the
     preallocated output. Raises ValueError, before any work, if an angle
-    is NaN or infinite.
+    is NaN or infinite, with the count of them.
     """
-    theta = require_finite_angles(np.asarray(theta_deg, dtype=np.float64))
+    theta = np.asarray(theta_deg, dtype=np.float64)
+    bad = theta.size - int(np.count_nonzero(np.isfinite(theta)))
+    if bad:
+        raise ValueError(f"{bad} NaN or infinite angle(s); angles must be finite")
     out = np.empty(theta.shape + (3, 3))
     angles, kernels = theta.reshape(-1), out.reshape(-1, 3, 3)
     y, x = np.mgrid[-1:2, -1:2].astype(np.float64)

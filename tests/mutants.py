@@ -147,11 +147,11 @@ MUTANTS = (
         "diffuse_patches solves a base of another shape than its grid's, whose patches miss or run past it",
     ),
     Mutant(
-        "grid-takes-nan-angles",
+        "overlay-shape-unchecked",
         DIRECTIONAL,
-        "require_finite_angles(self.angles)",
+        'require_same_shape(out, grid, "image and grid")',
         "pass",
-        "a grid holds a NaN or infinite angle, for which the overlay draws nothing",
+        "the overlay draws a grid on an image of another shape, running past it or leaving part of it undrawn",
     ),
     Mutant(
         "half-up-overlay-rounding",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, diffuse
-from inpaintkit.directional import PatchGrid, build_patch_grid, diffuse_patches, inpaint_directional
+from inpaintkit.directional import build_patch_grid, diffuse_patches, inpaint_directional
 from inpaintkit.kernels import diag_kernel, diamond_kernel
 from inpaintkit.masks import apply_damage, random_mask, text_mask
 
@@ -230,11 +230,6 @@ def test_bad_kernel_weight_raises(weight):
     bad[0, 1] = weight
     with pytest.raises(ValueError, match="1 negative or non-finite weight"):
         diffuse(damaged, mask, bad, DiffusionConfig(max_iters=50))
-    grid = build_patch_grid(damaged, 8)
-    kernels = grid.kernels.copy()
-    kernels[4] = bad
-    with pytest.raises(ValueError, match="1 negative or non-finite weight"):
-        diffuse_patches(damaged, mask, PatchGrid(grid.shape, 8, grid.angles, kernels))
 
 
 @pytest.mark.parametrize(

@@ -49,16 +49,19 @@ def test_grid_counts_and_kernel_validity():
 
 
 def test_grid_length_mismatch_rejected():
-    with pytest.raises(ValueError, match=r"4 patches take \(4,\) angles and \(4, 3, 3\) kernels, got \(1,\) and \(4, 3, 3\)"):
-        PatchGrid((8, 8), 4, (0.0,), (diamond_kernel(),) * 4)
-    with pytest.raises(ValueError, match=r"got \(4,\) and \(3, 3, 3\)"):
-        PatchGrid((8, 8), 4, (0.0,) * 4, (diamond_kernel(),) * 3)
-    # lists and tuples still build a grid, held as read-only arrays of its own;
-    # the coords are the tiling of the shape, which is held as two ints
-    angles = [0.0] * 4
-    grid = PatchGrid(np.array([8, 8]), 4, angles, (diamond_kernel(),) * 4)
+    with pytest.raises(ValueError, match=r"4 patches take \(4,\) angles, got \(1,\)"):
+        PatchGrid((8, 8), 4, (0.0,))
+    with pytest.raises(ValueError, match=r"4 patches take \(4,\) angles, got \(4, 1\)"):
+        PatchGrid((8, 8), 4, np.zeros((4, 1)))
+    # a list still builds a grid, held as read-only arrays of its own; the
+    # coords are the tiling of the shape, which is held as two ints, and the
+    # kernels are the angles rotated
+    angles = [0.0, 30.0, -45.0, 90.0]
+    grid = PatchGrid(np.array([8, 8]), 4, angles)
     assert grid.shape == (8, 8) and all(type(n) is int for n in grid.shape)
     assert np.array_equal(grid.coords, split_into_patches(8, 8, 4)) and len(grid) == 4
+    rotated = rotate_kernel(grid.angles)
+    assert grid.kernels.dtype == rotated.dtype and grid.kernels.tobytes() == rotated.tobytes()
     assert grid.coords.shape == (4, 4) and grid.angles.shape == (4,) and grid.kernels.shape == (4, 3, 3)
     for field in (grid.coords, grid.angles, grid.kernels):
         assert not field.flags.writeable
@@ -87,7 +90,7 @@ def test_forced_diagonal_grid_matches_whole_image_run():
     damaged = apply_damage(img, mask)
     cfg = DiffusionConfig(epsilon=1e-10, max_iters=100_000)
 
-    grid = PatchGrid((20, 20), 10, (-45.0,) * 4, (rotate_kernel(-45.0),) * 4)
+    grid = PatchGrid((20, 20), 10, (-45.0,) * 4)
     patched = diffuse_patches(damaged, mask, grid, cfg)
     whole = diffuse(damaged, mask, diag_kernel(), cfg)
     oracle = harmonic_fill(damaged, mask, diag_kernel())
@@ -207,12 +210,12 @@ def test_a_zero_patch_beside_a_bright_one_steps_from_its_halo():
     base[:4] = 1.0
     mask = np.ones((8, 8), dtype=np.uint8)
     mask[4:6, 2:6] = 0
-    grid = PatchGrid((8, 8), 4, np.zeros(4), (diamond_kernel(),) * 4)
+    coords, kernels = split_into_patches(8, 8, 4), [diamond_kernel()] * 4
     cfg = DiffusionConfig()
-    res = diffuse_patches(base, mask, grid, cfg)
-    ref, counts, _ = patch_loop(base, mask, [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)], cfg.epsilon, cfg.max_iters)
-    assert np.array_equal(res.image, ref) and res.iterations == sum(counts)
-    assert (res.image[4:6, 2:6] > 0).all()
+    out, counts, _, _ = _solve_windows(base, mask, coords, kernels, cfg)
+    ref, ref_counts, _ = patch_loop(base, mask, [(*pc, k) for pc, k in zip(coords, kernels)], cfg.epsilon, cfg.max_iters)
+    assert np.array_equal(out, ref) and counts.tolist() == ref_counts
+    assert (out[4:6, 2:6] > 0).all()
 
 
 def test_known_pixels_pass_through_untouched():
@@ -284,19 +287,32 @@ def test_clipped_patches_are_still_processed():
     assert np.all(filled > 0.0)
 
 
-@pytest.mark.parametrize(
-    "base_shape",
+# shapes other than the (12, 8) of a grid
+OTHER_SHAPES = pytest.mark.parametrize(
+    "other_shape",
     [(8, 12), (12, 9), (12, 7), (13, 8), (11, 8)],
     ids=["transposed", "wider", "narrower", "taller", "shorter"],
 )
-def test_a_base_of_another_shape_than_the_grid_is_refused(base_shape):
+
+
+@OTHER_SHAPES
+def test_a_base_of_another_shape_than_the_grid_is_refused(other_shape):
     # a grid's patches tile its own shape: on a smaller base they would run
     # past it, on a larger one they would leave pixels unsolved
     grid = build_patch_grid(np.full((12, 8), 0.5), 4)
-    mask = random_mask(*base_shape, 0.5, seed=2)
-    damaged = apply_damage(np.full(base_shape, 0.5), mask)
-    with pytest.raises(ValueError, match=re.escape(f"base and grid differ in shape: {base_shape} vs (12, 8)")):
+    mask = random_mask(*other_shape, 0.5, seed=2)
+    damaged = apply_damage(np.full(other_shape, 0.5), mask)
+    with pytest.raises(ValueError, match=re.escape(f"base and grid differ in shape: {other_shape} vs (12, 8)")):
         diffuse_patches(damaged, mask, grid)
+
+
+@OTHER_SHAPES
+def test_an_overlay_image_of_another_shape_than_the_grid_is_refused(other_shape):
+    # a grid's segments are drawn inside its own patches: on a smaller image
+    # they would run past it, on a larger one they would leave it half drawn
+    grid = build_patch_grid(np.full((12, 8), 0.5), 4)
+    with pytest.raises(ValueError, match=re.escape(f"image and grid differ in shape: {other_shape} vs (12, 8)")):
+        render_directionality_overlay(np.zeros(other_shape), grid)
 
 
 @pytest.mark.parametrize(
@@ -305,22 +321,23 @@ def test_a_base_of_another_shape_than_the_grid_is_refused(base_shape):
     ids=["scalar-nan", "inf-in-array", "nan-in-array"],
 )
 def test_a_grid_refuses_non_finite_angles(angles, count):
-    # the overlay would cast such an angle to an index and draw nothing for its patch
+    # the grid rotates its angles before it checks their shape, and rotate_kernel
+    # refuses a NaN or infinite one: the overlay would draw nothing for its patch
     with pytest.raises(ValueError, match=f"{count} NaN or infinite angle"):
-        PatchGrid((8, 8), 4, angles, (diag_kernel(),) * 4)
+        PatchGrid((8, 8), 4, angles)
 
 
 def test_overlay_draws_along_the_reported_angle():
     # odd patch side keeps the segment centre on an exact pixel
     img = np.zeros((15, 15))
 
-    horiz = PatchGrid((15, 15), 15, (90.0,), (diag_kernel(),))
+    horiz = PatchGrid((15, 15), 15, (90.0,))
     out = render_directionality_overlay(img, horiz)
     # theta = 90 paints the centre row, not the centre column
     assert out[7, :].sum() > 8
     assert out[:, 7].sum() <= 2
 
-    vert = PatchGrid((15, 15), 15, (0.0,), (diag_kernel(),))
+    vert = PatchGrid((15, 15), 15, (0.0,))
     out = render_directionality_overlay(img, vert)
     assert out[:, 7].sum() > 8
     assert out[7, :].sum() <= 2
@@ -335,7 +352,7 @@ def test_overlay_matches_the_per_sample_loop():
         p = len(split_into_patches(45, 38, n))
         exact = [0.0, 45.0, 90.0, -45.0, 89.999, -89.999, 30.0, -60.0]
         angles = (exact + rng.uniform(-90.0, 90.0, size=p).tolist())[:p]
-        grid = PatchGrid((45, 38), n, angles, (diag_kernel(),) * p)
+        grid = PatchGrid((45, 38), n, angles)
         for g in (grid, build_patch_grid(img, n)):
             want = overlay_loop(img, [(*pc, a) for pc, a in zip(g.coords, g.angles)])
             assert np.array_equal(render_directionality_overlay(img, g), want), (n, g is grid)

@@ -69,18 +69,26 @@ def test_diffuse_matches_reference_loop(case, kernel):
 @given(cases(), st.integers(2, 15), st.data())
 def test_diffuse_patches_matches_reference_loop(case, patch_size, data):
     image, mask, cfg = case
-    p = len(split_into_patches(image.shape[0], image.shape[1], patch_size))
+    coords = split_into_patches(image.shape[0], image.shape[1], patch_size)
+    p = len(coords)
+    # arbitrary per-patch kernels go to the engine, which diffuse_patches calls
     kernels = data.draw(st.lists(KERNELS, min_size=p, max_size=p))
-    grid = PatchGrid(image.shape, patch_size, [0.0] * p, kernels)
-    res = diffuse_patches(image, mask, grid, cfg)
-    patches = [(*pc, k) for pc, k in zip(grid.coords, kernels)]
-    ref, counts, deltas = patch_loop(image, mask, patches, cfg.epsilon, cfg.max_iters)
-    assert np.array_equal(res.image, ref)
-    assert res.iterations == sum(counts)
-    assert res.converged == all(d <= cfg.epsilon for d in deltas)
+    out, counts, deltas, converged = _solve_windows(image, mask, coords, kernels, cfg)
+    ref, ref_counts, ref_deltas = patch_loop(image, mask, [(*pc, k) for pc, k in zip(coords, kernels)], cfg.epsilon, cfg.max_iters)
+    assert np.array_equal(out, ref)
+    assert counts.tolist() == ref_counts
+    assert converged.tolist() == [d <= cfg.epsilon for d in ref_deltas]
     # the oracle's delta also spans the halo, which never moves, so only the summation order differs
-    assert res.final_delta == pytest.approx(max(deltas), rel=1e-12, abs=0.0)
-    assert np.array_equal(res.image[mask == 1], image[mask == 1])
+    assert deltas.tolist() == pytest.approx(ref_deltas, rel=1e-12, abs=0.0)
+    assert np.array_equal(out[mask == 1], image[mask == 1])
     # per-patch counts, one patch per engine call
-    for i, count in enumerate(counts):
-        assert _solve_windows(image, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg)[1][0] == count
+    for i, count in enumerate(ref_counts):
+        assert _solve_windows(image, mask, coords[i : i + 1], kernels[i : i + 1], cfg)[1][0] == count
+    # a grid's kernels are its angles rotated
+    grid = PatchGrid(image.shape, patch_size, data.draw(st.lists(st.floats(-90.0, 90.0), min_size=p, max_size=p)))
+    res = diffuse_patches(image, mask, grid, cfg)
+    ref, ref_counts, ref_deltas = patch_loop(image, mask, [(*pc, k) for pc, k in zip(coords, grid.kernels)], cfg.epsilon, cfg.max_iters)
+    assert np.array_equal(res.image, ref)
+    assert res.iterations == sum(ref_counts)
+    assert res.converged == all(d <= cfg.epsilon for d in ref_deltas)
+    assert res.final_delta == pytest.approx(max(ref_deltas), rel=1e-12, abs=0.0)
