@@ -1,9 +1,10 @@
 """Masked Jacobi diffusion on stacks of equal-shape windows.
 
-A window is a region of the image inside a 1-cell ring. Ring sides
-outside the image are ghost cells that copy the region's edge before
-every step (replicate padding); the other ring cells are a halo held at
-the image's values. A step replaces every missing pixel by the kernel
+A window is a region of the image inside a 1-cell ring, gathered from
+the image with the ring clamped into it. Ring sides outside the image
+are ghost cells that copy the region's edge before every step
+(replicate padding); the other ring cells are a halo held at the
+image's values. A step replaces every missing pixel by the kernel
 sum over its 3x3 neighbourhood and never writes a known one, so known
 pixels are preserved bit for bit. Only the missing cells of windows that
 are still running are computed: a window that has stopped drops out of
@@ -88,18 +89,19 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     here; diffuse passes the whole image and diffuse_patches a tiling.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once.
-    The stack is one gather from the padded image; ghost cells are
-    refreshed before every step. With warm_start, every missing pixel of
-    the padded image is set to the mean of the known pixels before the
-    gather, so the placeholders are never read; a mask with no known
-    pixel keeps them. A window steps while it has missing cells, its last
-    step moved it by more than epsilon and it is under the cap; a window
-    without missing cells takes no step and reports delta 0. A step
-    computes the missing cells only: they are held as flat stack indices
-    in window-major order, so each tap is a gather at a constant offset,
-    their current values are kept beside the stack as one vector, and
-    the per-window deltas are segment sums over each window's run of
-    cells. Per running window only its cell count is kept: a per-window
+    The stack is one gather from the image itself, with the ring's rows
+    and columns clamped into it, so no padded copy of the image is made;
+    ghost cells are refreshed before every step. With warm_start, each
+    stack's missing interior cells start at the mean of the known
+    pixels, so a window whose ring is all ghost, as diffuse's is, never
+    reads a placeholder; a mask with no known pixel keeps them. A window
+    steps while it has missing cells, its last step moved it by more
+    than epsilon and it is under the cap; a window without missing cells
+    takes no step and reports delta 0. A step computes the missing cells
+    only: they are held as flat stack indices in window-major order, so
+    each tap is a gather at a constant offset, their current values are
+    kept beside the stack as one vector, and the per-window deltas are
+    segment sums over each window's run of cells. Per running window only its cell count is kept: a per-window
     weight is repeated by the counts where a per-cell one is needed, and
     the segment starts are the counts' running sums, recomputed only
     when windows drop out, whose cells are then dropped from the step.
@@ -132,15 +134,14 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     for (h, w), idx in groups.items():
         stride = w + 2
         tops, lefts = coords[idx, :2].T
-        # window (t, l) of the padded image is the region at (t, l) inside its
-        # ring; the pad lies under ghost cells only, which every step refreshes first
-        padded = np.pad(image, 1)
-        if fill is not None:
-            padded[1:-1, 1:-1][mask == 0] = fill
-        win = sliding_window_view(padded, (h + 2, w + 2))[tops, lefts]
-        del padded  # the stack is a copy, so the padded image goes before any step
+        # the regions inside their rings, in one gather from the image: ring rows
+        # and columns past it are clamped onto its edge, the replicate padding
+        win = image[np.clip(tops[:, None] + np.arange(-1, h + 1), 0, image.shape[0] - 1)[:, :, None],
+                    np.clip(lefts[:, None] + np.arange(-1, w + 1), 0, image.shape[1] - 1)[:, None, :]]
         free = np.zeros(win.shape, dtype=bool)  # missing interior cells
         free[:, 1:-1, 1:-1] = sliding_window_view(mask, (h, w))[tops, lefts] == 0
+        if fill is not None:
+            win[free] = fill
         ghost_top, ghost_bottom, ghost_left, ghost_right = (
             np.flatnonzero(g) for g in (tops == 0, tops + h == image.shape[0], lefts == 0, lefts + w == image.shape[1])
         )

@@ -73,7 +73,7 @@ def apply_damage(img, mask) -> np.ndarray:
 
 
 def mask_from_image(img) -> np.ndarray:
-    """Interpret an image as a mask: 0 = missing, any nonzero = known."""
+    """Interpret an image as a mask: a pixel > 0 is known, any other (0, negative or NaN) is missing."""
     img = as_image(img)
     return (img > 0).astype(np.uint8)
 

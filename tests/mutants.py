@@ -60,9 +60,6 @@ class Mutant:
 # Left out as equivalent: pairing index i with (i - 1) mod n instead of
 # (i + 1) mod n in patch_angles. A circular difference sum does not depend on
 # the shift's direction, so only the summation order could tell them apart.
-# Also left out: padding the engine's image by edge replication instead of
-# zeros. The pad lies under ghost cells only, and ghosts are refreshed before
-# every step, so the pad's values are never read.
 DIFFUSION = "src/inpaintkit/diffusion.py"
 DIRECTIONAL = "src/inpaintkit/directional.py"
 DIRECTIONALITY = "src/inpaintkit/directionality.py"
@@ -128,9 +125,23 @@ MUTANTS = (
     Mutant(
         "warm-start-fill-dropped",
         DIFFUSION,
-        "padded[1:-1, 1:-1][mask == 0] = fill",
+        "win[free] = fill",
         "pass",
         "the directional estimate starts from the placeholders, not from the mean of the known pixels",
+    ),
+    Mutant(
+        "window-ring-off-by-one",
+        DIFFUSION,
+        "np.arange(-1, h + 1)",
+        "np.arange(0, h + 2)",
+        "each window's rows are gathered one row low, so a region steps on the rows below it",
+    ),
+    Mutant(
+        "largest-stack-last",
+        "src/inpaintkit/core.py",
+        "for g in np.argsort(first)}",
+        "for g in np.argsort(first)[::-1]}",
+        "the full-patch stack steps last, while the output image is already live beside it",
     ),
     Mutant(
         "warm-start-mean-of-all-pixels",

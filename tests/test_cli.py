@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -92,6 +93,22 @@ def test_inpaint_directional_with_overlay(workspace):
     assert read_image(overlay_path).shape == (32, 32)
 
 
+def test_inpaint_wall_seconds_cover_the_solve_only(workspace, capsys, monkeypatch):
+    # the clock stops when the solve returns, before the overlay is rendered
+    tmp_path, image_path, mask_path, _ = workspace
+    render = cli.render_directionality_overlay
+
+    def slow_render(image, grid):
+        time.sleep(0.5)
+        return render(image, grid)
+
+    monkeypatch.setattr(cli, "render_directionality_overlay", slow_render)
+    argv = ["inpaint", "--algo", "directional", "--patch", "8", "--in", str(image_path), "--mask", str(mask_path)]
+    assert main(argv + ["--out", str(tmp_path / "out.pgm"), "--overlay", str(tmp_path / "overlay.pgm")]) == EXIT_OK
+    wall = float(re.fullmatch(r"wrote \S+: iterations=\d+ converged=True wall_seconds=(\S+)\n", capsys.readouterr().out)[1])
+    assert 0.0 < wall < 0.5
+
+
 @pytest.mark.parametrize("algo", ["diffusion", "directional"])
 def test_inpaint_snapshots_every_k_iterations(workspace, algo):
     tmp_path, image_path, mask_path, mask = workspace
@@ -170,13 +187,14 @@ def test_each_snapshot_is_the_library_iterate_written_whole(tmp_path, algo, miss
         assert (tmp_path / "snaps" / name).read_bytes() == (expected / name).read_bytes(), name
 
 
-def test_inpaint_traced_peak_stays_within_five_and_a_half_images(tmp_path, capsys):
+@pytest.mark.parametrize("shape", [(256, 256), (250, 243)], ids=["256x256", "250x243"])
+def test_inpaint_traced_peak_stays_within_five_and_a_half_images(tmp_path, capsys, shape):
     # once the solve returns, the run's input and the snapshot frame are dropped
-    # before the overlay and the output are built
+    # before the overlay and the output are built; 250x243 tiles into four patch shapes
     rng = np.random.default_rng(57)
     image_path, mask_path = tmp_path / "image.pgm", tmp_path / "mask.pgm"
-    write_image(rng.uniform(size=(256, 256)), image_path)
-    write_image(mask_to_image(text_mask(256, 256, "Lorem ipsum dolor sit amet", scale=3)), mask_path)
+    write_image(rng.uniform(size=shape), image_path)
+    write_image(mask_to_image(text_mask(*shape, "Lorem ipsum dolor sit amet", scale=3)), mask_path)
     argv = ["inpaint", "--algo", "directional", "--patch", "16", "--in", str(image_path), "--mask", str(mask_path)]
     argv += ["--out", str(tmp_path / "out.pgm"), "--overlay", str(tmp_path / "overlay.pgm")]
     argv += ["--snapshot-every", "2", "--snapshot-dir", str(tmp_path / "snaps")]
@@ -187,7 +205,7 @@ def test_inpaint_traced_peak_stays_within_five_and_a_half_images(tmp_path, capsy
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * 256 * 256 * 8
+    assert peak <= 5.5 * shape[0] * shape[1] * 8
 
 
 @pytest.mark.parametrize("algo", ["diffusion", "directional"])

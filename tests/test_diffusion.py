@@ -254,14 +254,19 @@ def test_traced_peak_stays_within_eight_images(run):
 
 
 @pytest.mark.parametrize(
-    "run, images",
-    [(lambda d, m, grid: diffuse(d, m, diamond_kernel()), 2.25), (lambda d, m, grid: diffuse_patches(d, m, grid), 2.6)],
-    ids=["diffuse", "diffuse_patches"],
+    "run, images, shape",
+    [
+        (lambda d, m, grid: diffuse(d, m, diamond_kernel()), 2.25, (256, 256)),
+        (lambda d, m, grid: diffuse_patches(d, m, grid), 2.6, (256, 256)),
+        (lambda d, m, grid: diffuse_patches(d, m, grid), 2.6, (250, 243)),
+    ],
+    ids=["diffuse", "diffuse_patches", "diffuse_patches-250x243"],
 )
-def test_traced_peak_under_a_text_mask(run, images):
-    # the per-cell state is freed before the output image is allocated
-    mask = text_mask(256, 256, "Lorem ipsum dolor sit amet", scale=3)
-    damaged = apply_damage(np.random.default_rng(14).uniform(size=(256, 256)), mask)
+def test_traced_peak_under_a_text_mask(run, images, shape):
+    # the per-cell state is freed before the output image is allocated; at
+    # 250x243 four patch shapes step, the last three beside the output image
+    mask = text_mask(*shape, "Lorem ipsum dolor sit amet", scale=3)
+    damaged = apply_damage(np.random.default_rng(14).uniform(size=shape), mask)
     grid = build_patch_grid(damaged, 16)
     run(damaged, mask, grid)  # warm-up, so one-off allocations are not counted
     tracemalloc.start()

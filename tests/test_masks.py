@@ -174,3 +174,8 @@ def test_mask_image_roundtrip():
     mask = random_mask(16, 16, 0.3, seed=3)
     assert np.array_equal(mask_from_image(mask_to_image(mask)), mask)
 
+
+def test_mask_from_image_keeps_only_positive_pixels():
+    # a negative or NaN pixel is missing, as 0 is
+    img = np.array([[-1.0, 0.0], [0.5, np.nan]])
+    assert np.array_equal(mask_from_image(img), np.array([[0, 0], [1, 0]], dtype=np.uint8))
