@@ -82,13 +82,7 @@ def split_into_patches(rows: int, cols: int, n: int) -> np.ndarray:
 
 
 def group_by_shape(coords: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Indices of the patches of each (height, width) of a (P, 4) coords array, in first-seen order.
-
-    In a tiling the first patch is a full one, so the full-patch group,
-    whose window stack is the largest, comes first: the engine steps it
-    before it allocates its output image, and only the smaller stacks of
-    the clipped border patches step beside that image.
-    """
-    shapes, first, inverse = np.unique(coords[:, 2:], axis=0, return_index=True, return_inverse=True)
+    """Indices of the patches of each (height, width) of a (P, 4) coords array, ascending within each shape."""
+    shapes, inverse = np.unique(coords[:, 2:], axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    return {(int(shapes[g, 0]), int(shapes[g, 1])): np.flatnonzero(inverse == g) for g in np.argsort(first)}
+    return {(int(h), int(w)): np.flatnonzero(inverse == g) for g, (h, w) in enumerate(shapes)}

@@ -88,10 +88,11 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     region or more, inside the image and disjoint. That is not checked
     here; diffuse passes the whole image and diffuse_patches a tiling.
     Validates its inputs once, then steps the windows of each region
-    shape together as an (n, h+2, w+2) stack, in buffers allocated once.
-    The stack is one gather from the image itself, with the ring's rows
-    and columns clamped into it, so no padded copy of the image is made;
-    ghost cells are refreshed before every step. With warm_start, each
+    shape together as an (n, h+2, w+2) stack, in buffers allocated once,
+    the largest stack by cell count first. The stack is one gather from
+    the image itself, with the ring's rows and columns clamped into it,
+    so no padded copy of the image is made; ghost cells are refreshed
+    before every step. With warm_start, each
     stack's missing interior cells start at the mean of the known
     pixels, so a window whose ring is all ghost, as diffuse's is, never
     reads a placeholder; a mask with no known pixel keeps them. A window
@@ -101,16 +102,21 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     only: they are held as flat stack indices in window-major order, so
     each tap is a gather at a constant offset, their current values are
     kept beside the stack as one vector, and the per-window deltas are
-    segment sums over each window's run of cells. Per running window only its cell count is kept: a per-window
-    weight is repeated by the counts where a per-cell one is needed, and
-    the segment starts are the counts' running sums, recomputed only
-    when windows drop out, whose cells are then dropped from the step.
-    on_step(counts, interiors), if given, is called after every step
-    with the live counts and a read-only view of the live interiors.
-    Returns a copy of the image, allocated at the first write-back once
-    the per-cell state is freed, with every interior written back in one
-    assignment per stack, and per region the iterations, final deltas
-    and converged flags.
+    segment sums over each window's run of cells. A running window is
+    held as its region id, so a step updates the per-region counts and
+    deltas in place, and beside it only its cell count is kept: a
+    per-window weight is repeated by the counts where a per-cell one is
+    needed, and the segment starts are the counts' running sums,
+    recomputed only when windows drop out, whose cells are then dropped
+    from the step. on_step(counts, interiors), if given, is called after
+    every step with the per-region counts and a read-only view of the
+    stack's live interiors. Returns a copy of the image, allocated at
+    the first write-back once the per-cell state is freed, with every
+    interior written back in one assignment per stack, and per region
+    the iterations, final deltas and converged flags. Each stack is
+    freed at its write-back, before the next one is gathered, so only
+    the smaller stacks step beside the output image, in any region
+    order.
     """
     image = as_image(image)
     mask = as_mask(mask)
@@ -123,15 +129,16 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     if bad:
         raise ValueError(f"kernels have {bad} negative or non-finite weight(s); weights must be finite and >= 0")
     k = normalize(k)
-    groups = group_by_shape(coords)
+    # the largest stack first, so it steps before the output image is allocated
+    groups = sorted(group_by_shape(coords).items(), key=lambda g: -len(g[1]) * (g[0][0] + 2) * (g[0][1] + 2))
     cfg = config if config is not None else DiffusionConfig()
     # taken after the finiteness check, so a non-finite placeholder raises instead of spreading
     fill = image[mask == 1].mean() if warm_start and mask.any() else None
 
-    out = None  # allocated at the first write-back, so no output image is live while a stack steps
+    out = None  # allocated at the first write-back, so no output image is live while the largest stack steps
     iterations = np.zeros(len(coords), dtype=np.int64)
     deltas = np.zeros(len(coords))
-    for (h, w), idx in groups.items():
+    for (h, w), idx in groups:
         stride = w + 2
         tops, lefts = coords[idx, :2].T
         # the regions inside their rings, in one gather from the image: ring rows
@@ -151,20 +158,19 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         cells -= stride + 1
         sizes = np.count_nonzero(free, axis=(1, 2))
         del free
-        # the running windows, in stack order, and their cell counts; a window
-        # without missing cells never runs
-        owners = np.flatnonzero(sizes)
-        sizes = sizes[owners]
+        # the running windows, as region ids in stack order, and their cell
+        # counts; a window without missing cells never runs
+        owners, sizes = idx[sizes > 0], sizes[sizes > 0]
         starts = np.cumsum(sizes) - sizes
-        delta, count = deltas[idx], iterations[idx]
         # row-major taps, the order the sum is accumulated in; a tap is skipped
-        # when it is zero in every kernel and is a scalar when they all agree
+        # when it is zero in every kernel of the stack, is a scalar when they
+        # all agree and otherwise the kernel column, indexed by region id
         taps = []
         for r in range(3):
             for c in range(3):
                 weight = k[idx, r, c]
                 if weight.any():
-                    taps.append((r * stride + c, weight[0] if (weight == weight[0]).all() else weight))
+                    taps.append((r * stride + c, weight[0] if (weight == weight[0]).all() else k[:, r, c]))
         flat = win.reshape(-1)
         centre = flat[stride + 1 :]
         inner = win[:, 1:-1, 1:-1]
@@ -187,23 +193,23 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                     acc[:m] += term
             step = np.subtract(acc[:m], x[:m], out=tmp[:m])
             step *= step
-            delta[owners] = np.sqrt(np.add.reduceat(step, starts))
-            count[owners] += 1
+            deltas[owners] = np.sqrt(np.add.reduceat(step, starts))
+            iterations[owners] += 1
             centre[cells] = acc[:m]
             acc, x = x, acc
             if on_step is not None:
-                on_step(count, inner)
-            alive = (delta[owners] > cfg.epsilon) & (count[owners] < cfg.max_iters)
+                on_step(iterations, inner)
+            alive = (deltas[owners] > cfg.epsilon) & (iterations[owners] < cfg.max_iters)
             if not alive.all():
                 keep = np.repeat(alive, sizes)
                 cells = cells[keep]
                 x[: len(cells)] = x[:m][keep]
                 owners, sizes = owners[alive], sizes[alive]
                 starts = np.cumsum(sizes) - sizes
-        deltas[idx], iterations[idx] = delta, count
         cells = acc = x = tmp = term = step = keep = None  # frees the per-cell state before out is allocated
         # window (t, l) of out is the region at (t, l) itself
         out = image.copy() if out is None else out
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner
+        win = flat = centre = inner = None  # frees the stack before the next one is gathered
     return out, iterations, deltas, deltas <= cfg.epsilon
 

@@ -128,7 +128,7 @@ def read_png(path) -> tuple[np.ndarray, int]:
 
 def write_png(raster: np.ndarray, path) -> None:
     """Write a 2-D uint8 raster as 8-bit grayscale PNG."""
-    _require_pillow().fromarray(raster, mode="L").save(Path(path), format="PNG")
+    _require_pillow().fromarray(raster).save(Path(path), format="PNG")
 
 
 # suffix -> (reader, writer); .pnm is read and written as PGM

@@ -81,6 +81,13 @@ MUTANTS = (
         "the per-cell state is still live when the output image is allocated",
     ),
     Mutant(
+        "stack-kept-past-write-back",
+        DIFFUSION,
+        "win = flat = centre = inner = None",
+        "pass",
+        "a written-back stack is still live while the next one is gathered and steps",
+    ),
+    Mutant(
         "no-freezing",
         DIFFUSION,
         "if not alive.all():",
@@ -90,22 +97,22 @@ MUTANTS = (
     Mutant(
         "overwrite-frozen-deltas",
         DIFFUSION,
-        "delta[owners] = np.sqrt(np.add.reduceat(step, starts))",
-        "delta[:] = 0.0; delta[owners] = np.sqrt(np.add.reduceat(step, starts))",
+        "deltas[owners] = np.sqrt(np.add.reduceat(step, starts))",
+        "deltas[idx] = 0.0; deltas[owners] = np.sqrt(np.add.reduceat(step, starts))",
         "a step zeroes the final delta of windows that already stopped",
     ),
     Mutant(
         "windows-without-cells-step",
         DIFFUSION,
-        "owners = np.flatnonzero(sizes)",
-        "owners = np.arange(len(sizes))",
+        "owners, sizes = idx[sizes > 0], sizes[sizes > 0]",
+        "owners, sizes = idx, sizes",
         "a window without missing cells steps",
     ),
     Mutant(
         "stopped-count-keeps-rising",
         DIFFUSION,
-        "count[owners] += 1",
-        "count += 1",
+        "iterations[owners] += 1",
+        "iterations[idx] += 1",
         "a stopped window's count keeps rising",
     ),
     Mutant(
@@ -138,10 +145,10 @@ MUTANTS = (
     ),
     Mutant(
         "largest-stack-last",
-        "src/inpaintkit/core.py",
-        "for g in np.argsort(first)}",
-        "for g in np.argsort(first)[::-1]}",
-        "the full-patch stack steps last, while the output image is already live beside it",
+        DIFFUSION,
+        "key=lambda g: -len(g[1])",
+        "key=lambda g: len(g[1])",
+        "the largest stack steps last, while the output image is already live beside it",
     ),
     Mutant(
         "warm-start-mean-of-all-pixels",

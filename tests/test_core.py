@@ -118,17 +118,16 @@ def test_split_clamps_a_patch_past_the_image():
             assert coords.tolist() == [[0, 0, rows, cols]] and not coords.flags.writeable
 
 
-def test_group_by_shape_keeps_first_seen_order():
+def test_group_by_shape_partitions_the_indices_by_shape():
     # 5x6 with patch 4: full, clipped right, clipped bottom, clipped corner
-    coords = split_into_patches(5, 6, 4)
-    groups = group_by_shape(coords)
-    assert [(shape, idx.tolist()) for shape, idx in groups.items()] == [
-        ((4, 4), [0]),
-        ((4, 2), [1]),
-        ((1, 4), [2]),
-        ((1, 2), [3]),
-    ]
-    reversed_groups = group_by_shape(coords[::-1])
-    assert list(reversed_groups) == [(1, 2), (1, 4), (4, 2), (4, 4)]
+    tiling = split_into_patches(5, 6, 4)
+    shuffled = tiling[np.random.default_rng(0).permutation(len(tiling))]
+    for coords in (tiling, tiling[::-1], shuffled, split_into_patches(8, 8, 4)):
+        groups = group_by_shape(coords)
+        assert sorted(np.concatenate(list(groups.values())).tolist()) == list(range(len(coords)))
+        for (h, w), idx in groups.items():
+            assert (coords[idx, 2:] == (h, w)).all()
+            assert (np.diff(idx) > 0).all()
+    assert set(group_by_shape(tiling)) == {(4, 4), (4, 2), (1, 4), (1, 2)}
     (shape, idx), = group_by_shape(split_into_patches(8, 8, 4)).items()
     assert shape == (4, 4) and idx.tolist() == [0, 1, 2, 3]

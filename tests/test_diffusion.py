@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, diffuse
+from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
 from inpaintkit.directional import build_patch_grid, diffuse_patches, inpaint_directional
 from inpaintkit.kernels import diag_kernel, diamond_kernel
 from inpaintkit.masks import apply_damage, random_mask, text_mask
@@ -258,13 +258,15 @@ def test_traced_peak_stays_within_eight_images(run):
     [
         (lambda d, m, grid: diffuse(d, m, diamond_kernel()), 2.25, (256, 256)),
         (lambda d, m, grid: diffuse_patches(d, m, grid), 2.6, (256, 256)),
-        (lambda d, m, grid: diffuse_patches(d, m, grid), 2.6, (250, 243)),
+        (lambda d, m, grid: diffuse_patches(d, m, grid), 2.4, (250, 243)),
+        (lambda d, m, grid: _solve_windows(d, m, grid.coords[::-1], grid.kernels[::-1]), 2.4, (250, 243)),
     ],
-    ids=["diffuse", "diffuse_patches", "diffuse_patches-250x243"],
+    ids=["diffuse", "diffuse_patches", "diffuse_patches-250x243", "regions-reversed-250x243"],
 )
 def test_traced_peak_under_a_text_mask(run, images, shape):
     # the per-cell state is freed before the output image is allocated; at
-    # 250x243 four patch shapes step, the last three beside the output image
+    # 250x243 four patch shapes step, the largest first and the smaller three
+    # beside the output image, each freed before the next, in any region order
     mask = text_mask(*shape, "Lorem ipsum dolor sit amet", scale=3)
     damaged = apply_damage(np.random.default_rng(14).uniform(size=shape), mask)
     grid = build_patch_grid(damaged, 16)
