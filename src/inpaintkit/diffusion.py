@@ -63,8 +63,9 @@ def diffuse(
             valid until it returns; a caller that keeps an iterate copies it.
 
     Returns:
-        DiffusionResult with the reconstruction, the number of iterations
-        run, the last Frobenius delta, and whether the threshold was met.
+        The engine's DiffusionResult: the reconstruction, the number of
+        iterations run, the last Frobenius delta, and whether the
+        threshold was met.
 
     Raises:
         ValueError: on a shape mismatch, a non-binary mask, a kernel that
@@ -75,10 +76,7 @@ def diffuse(
     # here with it, so one callback adapter serves both; see _solve_windows
     damaged = as_image(damaged)
     on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0]))
-    image, iterations, deltas, converged = _solve_windows(
-        damaged, mask, np.array([[0, 0, *damaged.shape]]), [kernel], config, on_step, _warm_start
-    )
-    return DiffusionResult(image, int(iterations[0]), float(deltas[0]), bool(converged[0]))
+    return _solve_windows(damaged, mask, np.array([[0, 0, *damaged.shape]]), [kernel], config, on_step, _warm_start)[0]
 
 
 def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None, warm_start=False):
@@ -87,6 +85,8 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     coords is a (P, 4) array of (top, left, height, width) rows: one
     region or more, inside the image and disjoint. That is not checked
     here; diffuse passes the whole image and diffuse_patches a tiling.
+    Both pass an image already coerced by as_image; it is not coerced
+    again here.
     Validates its inputs once, then steps the windows of each region
     shape together as an (n, h+2, w+2) stack, in buffers allocated once,
     the largest stack by cell count first. The stack is one gather from
@@ -110,15 +110,16 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     recomputed only when windows drop out, whose cells are then dropped
     from the step. on_step(counts, interiors), if given, is called after
     every step with the per-region counts and a read-only view of the
-    stack's live interiors. Returns a copy of the image, allocated at
-    the first write-back once the per-cell state is freed, with every
-    interior written back in one assignment per stack, and per region
-    the iterations, final deltas and converged flags. Each stack is
-    freed at its write-back, before the next one is gathered, so only
-    the smaller stacks step beside the output image, in any region
-    order.
+    stack's live interiors. The output image is a copy of the image,
+    allocated at the first write-back once the per-cell state is freed,
+    with every interior written back in one assignment per stack. Each
+    stack is freed at its write-back, before the next one is gathered,
+    so only the smaller stacks step beside the output image, in any
+    region order. Returns (result, iterations, deltas): the solve's
+    DiffusionResult, with the iterations summed over its regions, the
+    largest final delta, and converged when every region's final delta
+    is at most epsilon, then the per-region iterations and final deltas.
     """
-    image = as_image(image)
     mask = as_mask(mask)
     require_same_shape(image, mask, "image and mask")
     require_finite(image)
@@ -211,5 +212,6 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         out = image.copy() if out is None else out
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner
         win = flat = centre = inner = None  # frees the stack before the next one is gathered
-    return out, iterations, deltas, deltas <= cfg.epsilon
+    result = DiffusionResult(out, int(iterations.sum()), float(deltas.max()), bool((deltas <= cfg.epsilon).all()))
+    return result, iterations, deltas
 

@@ -86,12 +86,13 @@ def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None 
     converge to the patch kernel's fill. Only patch interiors are written
     back. Patches of one shape are solved as one stack. The grid tiles
     its image, so no pixel is written twice; a base whose shape is not
-    grid.shape raises ValueError.
+    grid.shape raises ValueError. Returns the engine's DiffusionResult:
+    the iterations summed over the patches, the largest final delta, and
+    converged when every patch met epsilon.
     """
     base = as_image(base)
     require_same_shape(base, grid, "base and grid")
-    image, iterations, deltas, converged = _solve_windows(base, mask, grid.coords, grid.kernels, config)
-    return DiffusionResult(image, int(iterations.sum()), float(deltas.max(initial=0.0)), bool(converged.all()))
+    return _solve_windows(base, mask, grid.coords, grid.kernels, config)[0]
 
 
 def inpaint_directional(
@@ -149,7 +150,7 @@ def render_directionality_overlay(img, grid: PatchGrid) -> np.ndarray:
     for (h, w), idx in group_by_shape(grid.coords).items():
         origins = grid.coords[idx, :2]
         half = 0.4 * min(h, w)
-        s = np.linspace(-half, half, max(int(np.ceil(4.0 * half)), 1))
+        s = np.linspace(-half, half, int(np.ceil(4.0 * half)))
         # (patches, samples) points, rounded half to even like round(); each
         # lies within 0.4 * min(h, w) of its patch centre, so inside its patch
         r = np.rint((origins[:, :1] + (h - 1) / 2.0) + s * dy[idx, None]).astype(np.intp)

@@ -57,18 +57,16 @@ def _bicubic(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x runs along columns and y along rows; integer coordinates hit grid
     cells exactly. Out-of-range taps are clamped to the nearest edge cell
     (replicate extension). The 16 taps are summed row by row, in the
-    same order for every sample.
+    same order for every sample; the four column taps are weighed once.
     """
     bx, by = np.floor(x), np.floor(y)
+    columns = [(_cubic_weights(x - ix), np.clip(ix, 0, grid.shape[1] - 1).astype(np.intp)) for ix in (bx - 1 + i for i in range(4))]
     total = np.zeros(np.broadcast(x, y).shape)
     for j in range(4):
         iy = by - 1 + j
         wy = _cubic_weights(y - iy)
         r = np.clip(iy, 0, grid.shape[0] - 1).astype(np.intp)
-        for i in range(4):
-            ix = bx - 1 + i
-            wx = _cubic_weights(x - ix)
-            c = np.clip(ix, 0, grid.shape[1] - 1).astype(np.intp)
+        for wx, c in columns:
             total += wy * wx * grid[r, c]
     return total
 

@@ -151,6 +151,13 @@ MUTANTS = (
         "the largest stack steps last, while the output image is already live beside it",
     ),
     Mutant(
+        "solve-reports-region-zero",
+        DIFFUSION,
+        "int(iterations.sum())",
+        "int(iterations[0])",
+        "a solve of several regions reports the first region's iterations, not their sum",
+    ),
+    Mutant(
         "warm-start-mean-of-all-pixels",
         DIFFUSION,
         "image[mask == 1].mean()",
@@ -305,6 +312,13 @@ MUTANTS = (
         "_CUBIC_A = -0.5",
         "_CUBIC_A = -0.75",
         "the bicubic sampler uses a = -0.75 instead of Catmull-Rom's -0.5",
+    ),
+    Mutant(
+        "bicubic-column-tap-shifted",
+        KERNELS,
+        "bx - 1 + i",
+        "bx + i",
+        "the bicubic sampler's column taps start one column right, at floor(x) instead of floor(x) - 1",
     ),
     Mutant(
         "rotate-chunk-stop-off-by-one",

@@ -240,17 +240,17 @@ def test_fixed_point_and_determinism():
     grid = build_patch_grid(dir_a.estimate.image, 16)
     # a grid is always row-major, so the engine gets the permuted regions directly
     order = rng.permutation(len(grid))
-    out_fwd, counts_fwd, _, _ = _solve_windows(dir_a.estimate.image, mask, grid.coords, grid.kernels, cfg)
-    out_shuf, counts_shuf, _, _ = _solve_windows(dir_a.estimate.image, mask, grid.coords[order], grid.kernels[order], cfg)
+    fwd, counts_fwd, _ = _solve_windows(dir_a.estimate.image, mask, grid.coords, grid.kernels, cfg)
+    shuf, counts_shuf, _ = _solve_windows(dir_a.estimate.image, mask, grid.coords[order], grid.kernels[order], cfg)
 
     ok = (
         res_a.converged
         and extra_move <= cfg.epsilon
         and np.array_equal(res_a.image, res_b.image)
         and np.array_equal(dir_a.image, dir_b.image)
-        and np.array_equal(out_fwd, out_shuf)
+        and np.array_equal(fwd.image, shuf.image)
         and np.array_equal(counts_shuf, counts_fwd[order])
-        and np.array_equal(diffuse_patches(dir_a.estimate.image, mask, grid, cfg).image, out_fwd)
+        and np.array_equal(diffuse_patches(dir_a.estimate.image, mask, grid, cfg).image, fwd.image)
     )
     _report(
         ok,

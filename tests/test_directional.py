@@ -212,7 +212,8 @@ def test_a_zero_patch_beside_a_bright_one_steps_from_its_halo():
     mask[4:6, 2:6] = 0
     coords, kernels = split_into_patches(8, 8, 4), [diamond_kernel()] * 4
     cfg = DiffusionConfig()
-    out, counts, _, _ = _solve_windows(base, mask, coords, kernels, cfg)
+    res, counts, _ = _solve_windows(base, mask, coords, kernels, cfg)
+    out = res.image
     ref, ref_counts, _ = patch_loop(base, mask, [(*pc, k) for pc, k in zip(coords, kernels)], cfg.epsilon, cfg.max_iters)
     assert np.array_equal(out, ref) and counts.tolist() == ref_counts
     assert (out[4:6, 2:6] > 0).all()
@@ -249,11 +250,11 @@ def test_patch_order_does_not_change_the_result():
 
     # a grid is always row-major, so the engine gets the permuted regions directly
     order = rng.permutation(len(grid))
-    out_a, counts_a, _, _ = _solve_windows(base.image, mask, grid.coords, grid.kernels)
-    out_b, counts_b, _, _ = _solve_windows(base.image, mask, grid.coords[order], grid.kernels[order])
-    assert np.array_equal(out_a, out_b)
+    res_a, counts_a, _ = _solve_windows(base.image, mask, grid.coords, grid.kernels)
+    res_b, counts_b, _ = _solve_windows(base.image, mask, grid.coords[order], grid.kernels[order])
+    assert np.array_equal(res_a.image, res_b.image)
     assert np.array_equal(counts_b, counts_a[order]) and len(set(counts_a)) > 1
-    assert np.array_equal(diffuse_patches(base.image, mask, grid).image, out_a)
+    assert np.array_equal(diffuse_patches(base.image, mask, grid).image, res_a.image)
 
 
 def test_aggregate_diagnostics():
