@@ -56,7 +56,7 @@ def diffuse(
         damaged: image whose mask==0 pixels hold placeholder values, the
             values the missing pixels start from.
         mask: 1 = known pixel (held fixed), 0 = missing.
-        kernel: 3x3 non-negative weights; renormalized here defensively.
+        kernel: 3x3 non-negative weights; checked and normalized once, here.
         config: convergence threshold and iteration cap.
         callback: optional hook called as callback(iteration, image) after
             every update, with a read-only view of the live iterate that is
@@ -68,15 +68,20 @@ def diffuse(
         threshold was met.
 
     Raises:
-        ValueError: on a shape mismatch, a non-binary mask, a kernel that
-            is not 3x3 or has a negative or non-finite weight, or any NaN
-            or infinite pixel, known or missing.
+        ValueError: the kernel is checked first: one whose shape is not
+            (3, 3), then normalize's refusals (a negative or non-finite
+            weight, a degenerate sum); then the image and the mask: a
+            shape mismatch, a non-binary mask, or any NaN or infinite
+            pixel, known or missing.
     """
     # _warm_start is private: inpaint_directional's estimate pass runs through
     # here with it, so one callback adapter serves both; see _solve_windows
+    if np.shape(kernel) != (3, 3):
+        raise ValueError(f"expected a 3x3 kernel, got one of shape {np.shape(kernel)}")
+    kernels = normalize(kernel)[None]
     damaged = as_image(damaged)
     on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0]))
-    return _solve_windows(damaged, mask, np.array([[0, 0, *damaged.shape]]), [kernel], config, on_step, _warm_start)[0]
+    return _solve_windows(damaged, mask, np.array([[0, 0, *damaged.shape]]), kernels, config, on_step, _warm_start)[0]
 
 
 def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None, warm_start=False):
@@ -85,11 +90,15 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     coords is a (P, 4) array of (top, left, height, width) rows: one
     region or more, inside the image and disjoint. That is not checked
     here; diffuse passes the whole image and diffuse_patches a tiling.
+    kernels is the (P, 3, 3) float64 array of their kernels, solved as
+    given: not checked, coerced or normalized, as coords is trusted.
+    diffuse passes its kernel through normalize, and diffuse_patches the
+    grid's kernels, which rotate_kernel has already passed through it.
     Both pass an image already coerced by as_image; it is not coerced
     again here.
-    Validates its inputs once, then steps the windows of each region
-    shape together as an (n, h+2, w+2) stack, in buffers allocated once,
-    the largest stack by cell count first. The stack is one gather from
+    Checks the image and the mask once, then steps the windows of each
+    region shape together as an (n, h+2, w+2) stack, in buffers
+    allocated once, the largest stack by cell count first. The stack is one gather from
     the image itself, with the ring's rows and columns clamped into it,
     so no padded copy of the image is made; ghost cells are refreshed
     before every step. With warm_start, each
@@ -123,13 +132,6 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     mask = as_mask(mask)
     require_same_shape(image, mask, "image and mask")
     require_finite(image)
-    k = np.asarray(kernels, dtype=np.float64)
-    if k.shape[1:] != (3, 3):
-        raise ValueError(f"expected one 3x3 kernel per region, got kernels of shape {k.shape}")
-    bad = k.size - int(np.count_nonzero(np.isfinite(k) & (k >= 0.0)))
-    if bad:
-        raise ValueError(f"kernels have {bad} negative or non-finite weight(s); weights must be finite and >= 0")
-    k = normalize(k)
     # the largest stack first, so it steps before the output image is allocated
     groups = sorted(group_by_shape(coords).items(), key=lambda g: -len(g[1]) * (g[0][0] + 2) * (g[0][1] + 2))
     cfg = config if config is not None else DiffusionConfig()
@@ -169,9 +171,9 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         taps = []
         for r in range(3):
             for c in range(3):
-                weight = k[idx, r, c]
+                weight = kernels[idx, r, c]
                 if weight.any():
-                    taps.append((r * stride + c, weight[0] if (weight == weight[0]).all() else k[:, r, c]))
+                    taps.append((r * stride + c, weight[0] if (weight == weight[0]).all() else kernels[:, r, c]))
         flat = win.reshape(-1)
         centre = flat[stride + 1 :]
         inner = win[:, 1:-1, 1:-1]

@@ -32,7 +32,8 @@ class PatchGrid:
     as a read-only array. coords and kernels are not arguments: coords is
     the read-only (P, 4) array split_into_patches(*shape, patch_size) of
     (top, left, height, width) rows, and kernels the read-only (P, 3, 3)
-    rotate_kernel(angles), which refuses a NaN or infinite angle.
+    rotate_kernel(angles), which refuses a NaN or infinite angle. These
+    kernels are what the patch pass solves, byte for byte.
     """
 
     shape: tuple[int, int]

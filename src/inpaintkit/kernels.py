@@ -28,12 +28,21 @@ def diag_kernel() -> np.ndarray:
 
 
 def normalize(kernel) -> np.ndarray:
-    """Scale a kernel, or each kernel of a stack, so its weights sum to 1.
+    """Check a kernel, or each kernel of a stack, and scale it so its weights sum to 1.
 
-    Raises ValueError unless every sum is finite and positive.
+    This is the one check of a kernel's weights. It raises ValueError,
+    in this order:
+      1. on any negative or non-finite weight, with the count of them;
+      2. on a sum of finite weights that overflows to infinity;
+      3. on a sum of zero.
+    The last two name a degenerate kernel.
     """
     k = np.asarray(kernel, dtype=np.float64)
-    total = k.sum(axis=(-2, -1), keepdims=True)
+    bad = k.size - int(np.count_nonzero(np.isfinite(k) & (k >= 0.0)))
+    if bad:
+        raise ValueError(f"kernel has {bad} negative or non-finite weight(s); weights must be finite and >= 0")
+    with np.errstate(over="ignore"):  # an overflowing sum is refused just below
+        total = k.sum(axis=(-2, -1), keepdims=True)
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise ValueError("degenerate kernel: weights must sum to a finite positive value")
     return k / total
@@ -79,8 +88,9 @@ def rotate_kernel(theta_deg) -> np.ndarray:
     the source by bicubic interpolation (inverse mapping). Rotation
     applies the plain rotation matrix to (x=col, y=row) offsets; with the
     row axis pointing down that turns the picture clockwise on screen.
-    The result is normalized; no bicubic overshoot of this source falls
-    below zero, so it is a valid averaging kernel for every angle. Angles
+    The result goes through normalize, so the promise that no bicubic
+    overshoot of this source falls below zero, which makes it a valid
+    averaging kernel for every angle, is checked on every call. Angles
     180 degrees apart give the same kernel up to floating point noise. A
     scalar angle gives one (3, 3) kernel, an array of angles of shape S
     an S + (3, 3) stack, rotated at most 4,096 angles at a time into the

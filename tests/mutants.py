@@ -165,6 +165,13 @@ MUTANTS = (
         "the directional estimate's start is the mean of all pixels, placeholders included",
     ),
     Mutant(
+        "diffuse-kernel-not-normalized",
+        DIFFUSION,
+        "kernels = normalize(kernel)[None]",
+        "kernels = np.asarray(kernel, dtype=np.float64)[None]",
+        "diffuse solves its kernel as given, so a kernel whose weights do not sum to 1 is not an average",
+    ),
+    Mutant(
         "grid-shape-unchecked",
         DIRECTIONAL,
         'require_same_shape(base, grid, "base and grid")',
@@ -340,6 +347,13 @@ MUTANTS = (
         "if not (np.isfinite(total) & (total > 0.0)).all():",
         "if np.any(total <= 0.0):",
         "a kernel whose weights sum to NaN or inf normalizes to NaN weights without an error",
+    ),
+    Mutant(
+        "normalize-lets-negative-weight-through",
+        KERNELS,
+        "k >= 0.0",
+        "k >= -1.0",
+        "a kernel with a weight in [-1, 0) is normalized and solved without an error",
     ),
 )
 

@@ -130,9 +130,10 @@ def orientation_direct(patch):
 def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):
     """Whole-array masked Jacobi iteration under replicate padding.
 
-    Repeats: pad the iterate by edge replication, sum the kernel-weighted
-    shifted copies tap by tap in row-major order (zero taps skipped), put
-    the known pixels back. Stops when the Frobenius distance between
+    The kernel is used as given, not normalized. Repeats: pad the
+    iterate by edge replication, sum the kernel-weighted shifted copies
+    tap by tap in row-major order (zero taps skipped), put the known
+    pixels back. Stops when the Frobenius distance between
     consecutive iterates is at most epsilon or after max_iters steps, so
     an image with a missing pixel takes at least one step. An image
     without a missing pixel takes no step, with delta 0. Returns (image,
@@ -141,7 +142,6 @@ def jacobi_loop(damaged, mask, kernel, epsilon: float, max_iters: int):
     original = np.asarray(damaged, dtype=np.float64)
     known = np.asarray(mask) == 1
     k = np.asarray(kernel, dtype=np.float64)
-    k = k / k.sum()
     rows, cols = original.shape
     cur = original.copy()
     delta = 0.0 if known.all() else np.inf
@@ -163,8 +163,9 @@ def patch_loop(base, mask, patches, epsilon: float, max_iters: int):
     """Re-diffuse patches one at a time, each inside a fixed 1-pixel halo.
 
     patches is a sequence of (top, left, height, width, kernel). Each
-    patch runs jacobi_loop on its window extended by one pixel on every
-    side that lies inside the image; the halo pixels count as known. Only
+    patch runs jacobi_loop, with its kernel as given, on its window
+    extended by one pixel on every side that lies inside the image; the
+    halo pixels count as known. Only
     patch interiors are written back, into a copy of base. Returns
     (image, per-patch iteration counts, per-patch final deltas).
     """

@@ -9,7 +9,7 @@ import pytest
 
 from inpaintkit.diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
 from inpaintkit.directional import build_patch_grid, diffuse_patches, inpaint_directional
-from inpaintkit.kernels import diag_kernel, diamond_kernel
+from inpaintkit.kernels import diag_kernel, diamond_kernel, normalize, rotate_kernel
 from inpaintkit.masks import apply_damage, random_mask, text_mask
 
 from oracles import harmonic_fill
@@ -64,8 +64,34 @@ def test_one_step_with_identity_kernel_keeps_the_image():
 
 
 def test_one_step_rejects_wrong_kernel_shape():
-    with pytest.raises(ValueError, match="3x3"):
-        _one_step(np.ones((4, 4)), np.ones((5, 5)))
+    # a stack of kernels is refused too, before any step or callback
+    calls = []
+    for shape in ((5, 5), (3,), (1, 3, 3), (2, 3, 3)):
+        with pytest.raises(ValueError, match="3x3"):
+            diffuse(np.ones((4, 4)), np.zeros((4, 4)), np.ones(shape), DiffusionConfig(max_iters=1), lambda i, cur: calls.append(i))
+    assert calls == []
+
+
+def test_diffuse_normalizes_its_kernel_once():
+    # scaling by a power of two is exact, so the normalized kernels are equal bit for bit
+    rng = np.random.default_rng(8)
+    mask = random_mask(24, 20, 0.5, seed=9)
+    damaged = apply_damage(rng.uniform(size=(24, 20)), mask)
+    k, cfg = rotate_kernel(17.0), DiffusionConfig(max_iters=200)
+    want = diffuse(damaged, mask, k, cfg)
+    for scale in (2.0, 0.5):
+        got = diffuse(damaged, mask, scale * k, cfg)
+        assert np.array_equal(got.image, want.image) and got.iterations == want.iterations
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_kernel_sum_is_degenerate():
+    # every weight is finite, but their sum overflows: a ValueError, not an overflow warning
+    kernel = np.full((3, 3), 1e308)
+    with pytest.raises(ValueError, match="degenerate kernel"):
+        normalize(kernel)
+    with pytest.raises(ValueError, match="degenerate kernel"):
+        diffuse(np.zeros((4, 4)), np.zeros((4, 4)), kernel)
 
 
 def test_all_known_mask_takes_no_step():

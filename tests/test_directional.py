@@ -210,7 +210,7 @@ def test_a_zero_patch_beside_a_bright_one_steps_from_its_halo():
     base[:4] = 1.0
     mask = np.ones((8, 8), dtype=np.uint8)
     mask[4:6, 2:6] = 0
-    coords, kernels = split_into_patches(8, 8, 4), [diamond_kernel()] * 4
+    coords, kernels = split_into_patches(8, 8, 4), np.array([diamond_kernel()] * 4)
     cfg = DiffusionConfig()
     res, counts, _ = _solve_windows(base, mask, coords, kernels, cfg)
     out = res.image

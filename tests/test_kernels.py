@@ -67,15 +67,15 @@ def test_normalize_scales_each_kernel_of_a_stack():
 
 
 def test_normalize_rejects_degenerate_kernels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate kernel"):
         normalize(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="9 negative or non-finite weight"):
         normalize(np.full((3, 3), -1.0))
-    # a NaN or infinite sum would divide every weight into NaN
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="degenerate kernel"):
+    # a NaN or infinite weight is refused, with the count of them, before the sum
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="9 negative or non-finite weight"):
             normalize(np.full((3, 3), bad))
-        with pytest.raises(ValueError, match="degenerate kernel"):
+        with pytest.raises(ValueError, match="2 negative or non-finite weight"):
             normalize(np.stack([diag_kernel(), np.where(diag_kernel() > 0.1, bad, diag_kernel())]))
 
 
