@@ -43,9 +43,7 @@ class DiffusionResult:
     converged: bool
 
 
-def diffuse(
-    damaged, mask, kernel, config: DiffusionConfig | None = None, callback=None, *, _warm_start: bool = False
-) -> DiffusionResult:
+def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callback=None) -> DiffusionResult:
     """Fill the missing pixels of an image by repeated kernel averaging.
 
     The image is one window whose four ring sides are ghost cells. A run
@@ -53,8 +51,10 @@ def diffuse(
     moves the image by at most epsilon; a run without one takes none.
 
     Args:
-        damaged: image whose mask==0 pixels hold placeholder values, the
-            values the missing pixels start from.
+        damaged: image whose mask==0 pixels hold placeholder values. They
+            must be finite, but are not read when any pixel is known: every
+            missing pixel then starts at the mean of the known pixels. A
+            mask with no known pixel starts from the placeholders.
         mask: 1 = known pixel (held fixed), 0 = missing.
         kernel: 3x3 non-negative weights; checked and normalized once, here.
         config: convergence threshold and iteration cap.
@@ -74,14 +74,12 @@ def diffuse(
             shape mismatch, a non-binary mask, or any NaN or infinite
             pixel, known or missing.
     """
-    # _warm_start is private: inpaint_directional's estimate pass runs through
-    # here with it, so one callback adapter serves both; see _solve_windows
     if np.shape(kernel) != (3, 3):
         raise ValueError(f"expected a 3x3 kernel, got one of shape {np.shape(kernel)}")
     kernels = normalize(kernel)[None]
     damaged = as_image(damaged)
     on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0]))
-    return _solve_windows(damaged, mask, np.array([[0, 0, *damaged.shape]]), kernels, config, on_step, _warm_start)[0]
+    return _solve_windows(damaged, mask, np.array([[0, 0, *damaged.shape]]), kernels, config, on_step, True)[0]
 
 
 def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None, warm_start=False):
@@ -101,10 +99,11 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     allocated once, the largest stack by cell count first. The stack is one gather from
     the image itself, with the ring's rows and columns clamped into it,
     so no padded copy of the image is made; ghost cells are refreshed
-    before every step. With warm_start, each
-    stack's missing interior cells start at the mean of the known
-    pixels, so a window whose ring is all ghost, as diffuse's is, never
-    reads a placeholder; a mask with no known pixel keeps them. A window
+    before every step. With warm_start, which diffuse passes and
+    diffuse_patches does not, as it starts from its base, each stack's
+    missing interior cells start at the mean of the known pixels, so a
+    window whose ring is all ghost, as diffuse's is, never reads a
+    placeholder; a mask with no known pixel keeps them. A window
     steps while it has missing cells, its last step moved it by more
     than epsilon and it is under the cap; a window without missing cells
     takes no step and reports delta 0. A step computes the missing cells

@@ -105,12 +105,12 @@ def inpaint_directional(
     orientations from that estimate, then re-diffuses each patch with a
     kernel rotated to its angle. Known pixels pass through untouched.
 
-    The estimate starts every missing pixel at the mean of the known
-    pixels, so the placeholder values in damaged are never read and only
-    the known pixels shape the result; a mask with no known pixel starts
-    from the placeholders. diffuse itself still starts from the values it
-    is given. The mean is taken after the finiteness check, so a NaN or
-    infinite placeholder still raises ValueError.
+    The estimate is diffuse's run, which starts every missing pixel at
+    the mean of the known pixels, so the placeholder values in damaged
+    are never read and only the known pixels shape the result; a mask
+    with no known pixel starts from the placeholders. The mean is taken
+    after the finiteness check, so a NaN or infinite placeholder still
+    raises ValueError.
 
     callback, if given, is passed to the estimate pass only and is called
     as callback(iteration, image) after each of its iterations, with a
@@ -122,7 +122,7 @@ def inpaint_directional(
     """
     patch_size = as_int(patch_size, "patch_size")
     split_into_patches(*as_image(damaged).shape, patch_size)
-    estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback, _warm_start=True)
+    estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
     grid = build_patch_grid(estimate.image, patch_size)
     patched = diffuse_patches(estimate.image, mask, grid, config)
     return DirectionalResult(

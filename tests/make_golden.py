@@ -27,9 +27,12 @@ both, by naming it:
     PYTHONPATH=src python tests/make_golden.py cli       # golden_cli.json
 
 Without a name nothing is written, so refreshing one manifest never
-rewrites the other. Write a manifest only in a change that states why
-its outputs change and by how much (max abs pixel difference, MSE per
-image); never to make a failing change pass.
+rewrites the other. A run whose recorded entry `tests/test_golden.py`
+would accept (`accepts`) keeps that entry byte for byte, so only the
+runs that moved are rewritten; the script prints how many. Write a
+manifest only in a change that states why its outputs change and by
+how much (max abs pixel difference, MSE per image); never to make a
+failing change pass.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -59,6 +63,13 @@ CONFIG = DiffusionConfig(max_iters=300)
 CAPPED = DiffusionConfig(max_iters=60)
 CROPS = {"96x96": (96, 96), "45x38": (45, 38), "9x5": (9, 5), "2x2": (2, 2), "1x90": (1, 90)}
 PATCH_SIZES = (2, 7, 16, 200)
+
+
+def accepts(want: dict, got: dict) -> bool:
+    """True when a run's record got matches its recorded entry want: every field equal, final_delta within 1e-12 relative."""
+    return want.keys() == got.keys() and all(
+        math.isclose(got[k], v, rel_tol=1e-12, abs_tol=0.0) if k == "final_delta" else got[k] == v for k, v in want.items()
+    )
 
 
 def _digest(values) -> str:
@@ -146,9 +157,14 @@ def main(argv=None) -> None:
     parser.add_argument("targets", nargs="+", choices=tuple(TARGETS), help="manifest to write")
     for name in dict.fromkeys(parser.parse_args(argv).targets):
         path, make_runs = TARGETS[name]
-        runs = make_runs()
+        recorded = json.loads(path.read_text()) if path.exists() else {}
+        runs = {
+            run_id: recorded[run_id] if run_id in recorded and accepts(recorded[run_id], got) else got
+            for run_id, got in make_runs().items()
+        }
+        rewritten = sum(runs[run_id] is not recorded.get(run_id) for run_id in runs)
         path.write_text(json.dumps(runs, indent=1, sort_keys=False) + "\n")
-        print(f"wrote {len(runs)} {name} runs to {path}")
+        print(f"wrote {len(runs)} {name} runs to {path}, {rewritten} of them rewritten")
 
 
 if __name__ == "__main__":

@@ -134,7 +134,7 @@ MUTANTS = (
         DIFFUSION,
         "win[free] = fill",
         "pass",
-        "the directional estimate starts from the placeholders, not from the mean of the known pixels",
+        "a whole-image solve starts from the placeholders, not from the mean of the known pixels",
     ),
     Mutant(
         "window-ring-off-by-one",
@@ -162,7 +162,14 @@ MUTANTS = (
         DIFFUSION,
         "image[mask == 1].mean()",
         "image.mean()",
-        "the directional estimate's start is the mean of all pixels, placeholders included",
+        "a whole-image solve's start is the mean of all pixels, placeholders included",
+    ),
+    Mutant(
+        "diffuse-starts-from-placeholders",
+        DIFFUSION,
+        "kernels, config, on_step, True)[0]",
+        "kernels, config, on_step, False)[0]",
+        "diffuse asks the engine for no warm start, so it starts from the placeholders and the estimate is not its run",
     ),
     Mutant(
         "diffuse-kernel-not-normalized",

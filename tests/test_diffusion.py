@@ -12,7 +12,7 @@ from inpaintkit.directional import build_patch_grid, diffuse_patches, inpaint_di
 from inpaintkit.kernels import diag_kernel, diamond_kernel, normalize, rotate_kernel
 from inpaintkit.masks import apply_damage, random_mask, text_mask
 
-from oracles import harmonic_fill
+from oracles import harmonic_fill, jacobi_loop
 
 
 def test_config_validation():
@@ -183,7 +183,8 @@ def test_one_extra_step_moves_at_most_epsilon():
     cfg = DiffusionConfig(epsilon=1e-4)
     res = diffuse(damaged, mask, diamond_kernel(), cfg)
     assert res.converged
-    extra = diffuse(res.image, mask, diamond_kernel(), DiffusionConfig(max_iters=1)).image
+    # diffuse would restart from the known mean; the oracle steps from the values it is given
+    extra = jacobi_loop(res.image, mask, diamond_kernel(), cfg.epsilon, 1)[0]
     assert np.linalg.norm(extra - res.image) <= cfg.epsilon
 
 
@@ -213,7 +214,8 @@ def test_callback_sees_every_iteration():
 
     res = diffuse(row, np.array([[1, 0, 0, 0, 1]]), diamond_kernel(), callback=keep)
     assert len(seen) == res.iterations > 2
-    assert seen[0][0, 3] == 0.25 and seen[1][0, 3] == 0.375
+    # the missing pixels start at 0.5, the mean of the known ones
+    assert seen[0][0, 3] == 0.625 and seen[1][0, 3] == 0.6875
     assert np.array_equal(seen[-1], res.image)
 
 

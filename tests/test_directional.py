@@ -138,8 +138,10 @@ def test_the_estimate_starts_from_the_known_pixels_only():
     a, b = (inpaint_directional(d, mask, 8) for d in (zeros, noise))
     assert np.array_equal(a.estimate.image, b.estimate.image) and np.array_equal(a.image, b.image)
     assert (a.estimate.iterations, a.iterations) == (b.estimate.iterations, b.iterations)
-    # diffuse still starts from the values it is given
-    assert not np.array_equal(diffuse(zeros, mask, diamond_kernel()).image, diffuse(noise, mask, diamond_kernel()).image)
+    # diffuse starts there too, and its run is the estimate
+    plain = diffuse(zeros, mask, diamond_kernel())
+    assert np.array_equal(plain.image, diffuse(noise, mask, diamond_kernel()).image)
+    assert np.array_equal(plain.image, a.estimate.image) and plain.iterations == a.estimate.iterations
 
 
 def test_a_mask_without_known_pixels_starts_the_estimate_from_the_input():

@@ -58,8 +58,10 @@ KERNELS = st.one_of(
 def test_diffuse_matches_reference_loop(case, kernel):
     image, mask, cfg = case
     res = diffuse(image, mask, kernel, cfg)
-    # diffuse normalizes its kernel; the oracle uses it as given
-    ref, iterations, delta = jacobi_loop(image, mask, kernel / kernel.sum(), cfg.epsilon, cfg.max_iters)
+    # diffuse starts every missing pixel at the mean of the known ones, when
+    # there is one, and normalizes its kernel; the oracle uses both as given
+    start = np.where(mask == 1, image, image[mask == 1].mean()) if mask.any() else image
+    ref, iterations, delta = jacobi_loop(start, mask, kernel / kernel.sum(), cfg.epsilon, cfg.max_iters)
     assert np.array_equal(res.image, ref)
     assert res.iterations == iterations
     assert res.converged == (delta <= cfg.epsilon)
