@@ -14,7 +14,9 @@ import numpy as np
 
 
 def as_image(values) -> np.ndarray:
-    """Coerce to a non-empty 2-D float64 array, without copying when possible."""
+    """Coerce to a non-empty 2-D float64 array, without copying when possible; complex values raise ValueError."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"expected a real image, got complex values of dtype {np.asarray(values).dtype}")
     img = np.asarray(values, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {np.shape(values)}")

@@ -13,6 +13,7 @@ the step, so finished windows cost nothing.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class DiffusionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters"))
+        if not isinstance(self.epsilon, numbers.Real):
+            raise TypeError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_iters < 1:
@@ -37,10 +40,26 @@ class DiffusionConfig:
 
 @dataclass(frozen=True)
 class DiffusionResult:
+    """One solve as the engine measured it; its totals are derived, not stored.
+
+    image is the reconstruction. region_iterations (int64) and
+    region_deltas (float64) hold each region's step count and last
+    Frobenius delta, in the order of the regions the solve was given,
+    read-only as the engine hands them out; a region without missing
+    pixels takes no step and reports delta 0. epsilon is the threshold
+    the solve was held to. iterations is the steps summed over the
+    regions, final_delta the largest region delta, and converged holds
+    when every region delta is at most epsilon.
+    """
+
     image: np.ndarray
-    iterations: int
-    final_delta: float
-    converged: bool
+    region_iterations: np.ndarray
+    region_deltas: np.ndarray
+    epsilon: float
+
+    iterations = property(lambda self: int(self.region_iterations.sum()))
+    final_delta = property(lambda self: float(self.region_deltas.max()))
+    converged = property(lambda self: bool((self.region_deltas <= self.epsilon).all()))
 
 
 def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callback=None) -> DiffusionResult:
@@ -63,9 +82,10 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
             valid until it returns; a caller that keeps an iterate copies it.
 
     Returns:
-        The engine's DiffusionResult: the reconstruction, the number of
-        iterations run, the last Frobenius delta, and whether the
-        threshold was met.
+        The engine's DiffusionResult for one region, the whole image: the
+        reconstruction, with iterations, final_delta and converged
+        derived from the region's step count, last Frobenius delta and
+        the threshold.
 
     Raises:
         ValueError: the kernel is checked first: one whose shape is not
@@ -79,7 +99,7 @@ def diffuse(damaged, mask, kernel, config: DiffusionConfig | None = None, callba
     kernels = normalize(kernel)[None]
     damaged = as_image(damaged)
     on_step = None if callback is None else (lambda counts, inner: callback(int(counts[0]), inner[0]))
-    return _solve_windows(damaged, mask, np.array([[0, 0, *damaged.shape]]), kernels, config, on_step, True)[0]
+    return _solve_windows(damaged, mask, np.array([[0, 0, *damaged.shape]]), kernels, config, on_step, True)
 
 
 def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None = None, on_step=None, warm_start=False):
@@ -123,10 +143,10 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     with every interior written back in one assignment per stack. Each
     stack is freed at its write-back, before the next one is gathered,
     so only the smaller stacks step beside the output image, in any
-    region order. Returns (result, iterations, deltas): the solve's
-    DiffusionResult, with the iterations summed over its regions, the
-    largest final delta, and converged when every region's final delta
-    is at most epsilon, then the per-region iterations and final deltas.
+    region order. Returns the solve's DiffusionResult: the output image,
+    the per-region iterations and final deltas in coords order, made
+    read-only, and the epsilon they were held to, from which the result
+    derives its totals.
     """
     mask = as_mask(mask)
     require_same_shape(image, mask, "image and mask")
@@ -213,6 +233,6 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         out = image.copy() if out is None else out
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner
         win = flat = centre = inner = None  # frees the stack before the next one is gathered
-    result = DiffusionResult(out, int(iterations.sum()), float(deltas.max()), bool((deltas <= cfg.epsilon).all()))
-    return result, iterations, deltas
+    iterations.flags.writeable = deltas.flags.writeable = False
+    return DiffusionResult(out, iterations, deltas, cfg.epsilon)
 

@@ -60,12 +60,26 @@ class PatchGrid:
 
 @dataclass(frozen=True)
 class DirectionalResult:
-    image: np.ndarray
+    """The two solves of inpaint_directional and the grid between them.
+
+    estimate is the diamond-kernel solve of the whole image, grid the
+    patch angles and kernels measured on its image, and patches the
+    per-patch re-diffusion of that image, whose image is the output.
+    The totals are derived from the two solves: iterations is their sum,
+    final_delta the larger of their final deltas, and converged holds
+    when both met epsilon. Each solve keeps its own counts, so
+    patches.region_iterations and patches.region_deltas are in grid
+    order, beside grid.angles.
+    """
+
     grid: PatchGrid
     estimate: DiffusionResult
-    iterations: int  # estimate iterations plus all per-patch iterations
-    final_delta: float  # largest final delta among the estimate and the patch runs
-    converged: bool  # estimate and every patch met the threshold
+    patches: DiffusionResult
+
+    image = property(lambda self: self.patches.image)
+    iterations = property(lambda self: self.estimate.iterations + self.patches.iterations)
+    final_delta = property(lambda self: max(self.estimate.final_delta, self.patches.final_delta))
+    converged = property(lambda self: self.estimate.converged and self.patches.converged)
 
 
 def build_patch_grid(image, patch_size: int) -> PatchGrid:
@@ -87,13 +101,14 @@ def diffuse_patches(base, mask, grid: PatchGrid, config: DiffusionConfig | None 
     converge to the patch kernel's fill. Only patch interiors are written
     back. Patches of one shape are solved as one stack. The grid tiles
     its image, so no pixel is written twice; a base whose shape is not
-    grid.shape raises ValueError. Returns the engine's DiffusionResult:
-    the iterations summed over the patches, the largest final delta, and
-    converged when every patch met epsilon.
+    grid.shape raises ValueError. Returns the engine's DiffusionResult,
+    with one region per patch in grid order: the iterations sum over the
+    patches, final_delta is the largest, and converged holds when every
+    patch met epsilon.
     """
     base = as_image(base)
     require_same_shape(base, grid, "base and grid")
-    return _solve_windows(base, mask, grid.coords, grid.kernels, config)[0]
+    return _solve_windows(base, mask, grid.coords, grid.kernels, config)
 
 
 def inpaint_directional(
@@ -124,15 +139,7 @@ def inpaint_directional(
     split_into_patches(*as_image(damaged).shape, patch_size)
     estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
     grid = build_patch_grid(estimate.image, patch_size)
-    patched = diffuse_patches(estimate.image, mask, grid, config)
-    return DirectionalResult(
-        image=patched.image,
-        grid=grid,
-        estimate=estimate,
-        iterations=estimate.iterations + patched.iterations,
-        final_delta=max(estimate.final_delta, patched.final_delta),
-        converged=estimate.converged and patched.converged,
-    )
+    return DirectionalResult(grid, estimate, diffuse_patches(estimate.image, mask, grid, config))
 
 
 def render_directionality_overlay(img, grid: PatchGrid) -> np.ndarray:

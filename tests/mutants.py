@@ -153,9 +153,23 @@ MUTANTS = (
     Mutant(
         "solve-reports-region-zero",
         DIFFUSION,
-        "int(iterations.sum())",
-        "int(iterations[0])",
+        "int(self.region_iterations.sum())",
+        "int(self.region_iterations[0])",
         "a solve of several regions reports the first region's iterations, not their sum",
+    ),
+    Mutant(
+        "converged-strictly-below-epsilon",
+        DIFFUSION,
+        "self.region_deltas <= self.epsilon",
+        "self.region_deltas < self.epsilon",
+        "a solve whose final delta equals epsilon, such as 0 at epsilon=0, is reported as not converged",
+    ),
+    Mutant(
+        "region-counts-writable",
+        DIFFUSION,
+        "iterations.flags.writeable = deltas.flags.writeable = False",
+        "pass",
+        "a caller can write into a solve's per-region counts and deltas and so change its derived totals",
     ),
     Mutant(
         "warm-start-mean-of-all-pixels",
@@ -167,8 +181,8 @@ MUTANTS = (
     Mutant(
         "diffuse-starts-from-placeholders",
         DIFFUSION,
-        "kernels, config, on_step, True)[0]",
-        "kernels, config, on_step, False)[0]",
+        "kernels, config, on_step, True)",
+        "kernels, config, on_step, False)",
         "diffuse asks the engine for no warm start, so it starts from the placeholders and the estimate is not its run",
     ),
     Mutant(
@@ -184,6 +198,20 @@ MUTANTS = (
         'require_same_shape(base, grid, "base and grid")',
         "pass",
         "diffuse_patches solves a base of another shape than its grid's, whose patches miss or run past it",
+    ),
+    Mutant(
+        "directional-converged-either-pass",
+        DIRECTIONAL,
+        "self.estimate.converged and self.patches.converged",
+        "self.estimate.converged or self.patches.converged",
+        "a directional run is reported converged when only one of its two passes met epsilon",
+    ),
+    Mutant(
+        "directional-delta-smaller-pass",
+        DIRECTIONAL,
+        "max(self.estimate.final_delta, self.patches.final_delta)",
+        "min(self.estimate.final_delta, self.patches.final_delta)",
+        "a directional run reports the smaller final delta of its two passes, hiding the one that missed epsilon",
     ),
     Mutant(
         "overlay-shape-unchecked",

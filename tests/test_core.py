@@ -30,6 +30,18 @@ def test_as_image_rejects_wrong_rank_and_empty():
         as_image(np.zeros((2, 2, 3)))
 
 
+@pytest.mark.parametrize("values", [np.zeros((2, 2)) + 0j, np.ones((2, 2), dtype=np.complex64), [[1j, 0.0], [0.0, 1.0]]])
+def test_as_image_refuses_complex_values(values):
+    # the cast to float64 would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match="expected a real image, got complex"):
+        as_image(values)
+
+
+def test_as_image_does_not_copy_float64():
+    img = np.zeros((3, 2))
+    assert as_image(img) is img
+
+
 def test_as_mask_accepts_binary_and_rejects_other_values():
     m = as_mask([[0, 1], [1, 0]])
     assert m.dtype == np.uint8

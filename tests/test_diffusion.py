@@ -244,9 +244,47 @@ def test_non_finite_pixel_raises(value, known, run):
 
 
 def test_result_is_a_frozen_record():
-    res = DiffusionResult(np.zeros((2, 2)), 1, 0.0, True)
+    # a solve keeps its per-region counts and deltas read-only and derives its totals from them
+    mask = np.ones((6, 6), dtype=np.uint8)
+    mask[2:4, 2:4] = 0
+    res = diffuse(np.random.default_rng(3).uniform(size=(6, 6)), mask, diamond_kernel())
+    assert isinstance(res, DiffusionResult)
+    assert res.region_iterations.dtype == np.int64 and res.region_deltas.dtype == np.float64
+    assert res.region_iterations.tolist() == [res.iterations] and res.region_deltas.tolist() == [res.final_delta]
+    assert res.epsilon == DiffusionConfig().epsilon
+    with pytest.raises(ValueError, match="read-only"):
+        res.region_iterations[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        res.region_deltas[0] = 0.0
     with pytest.raises(AttributeError):
         res.iterations = 5
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["all-known", "all-zero"])
+def test_a_zero_delta_meets_a_zero_epsilon(missing):
+    # converged means every final delta is at most epsilon, so a delta of
+    # exactly 0 meets epsilon=0: nothing missing takes no step, and the
+    # zero image's first step moves nothing
+    img = np.zeros((6, 6))
+    mask = np.ones((6, 6), dtype=np.uint8)
+    mask[3, 3] = 0 if missing else 1
+    res = diffuse(img, mask, diamond_kernel(), DiffusionConfig(epsilon=0.0))
+    assert res.iterations == int(missing) and res.final_delta == 0.0
+    assert res.region_deltas.tolist() == [0.0] and res.epsilon == 0.0
+    assert res.converged
+
+
+@pytest.mark.parametrize("eps", ["x", "0.001", None, 1e-3j], ids=["word", "numeric-string", "none", "complex"])
+def test_epsilon_that_is_not_a_real_number_is_named(eps):
+    with pytest.raises(TypeError, match="epsilon must be a real number"):
+        DiffusionConfig(epsilon=eps)
+
+
+def test_complex_image_is_refused():
+    mask = random_mask(8, 8, 0.3, seed=5)
+    img = np.random.default_rng(6).uniform(size=(8, 8))
+    with pytest.raises(ValueError, match="expected a real image"):
+        diffuse(img + 0j, mask, diamond_kernel())
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])

@@ -118,8 +118,9 @@ def test_stacked_engine_matches_the_reference_patch_loop():
     assert res.iterations == sum(counts)
     assert res.final_delta == pytest.approx(max(deltas), rel=1e-12, abs=0.0)
     # each patch alone in the engine takes as many steps as it takes in the stack
-    singles = [_solve_windows(estimate, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg)[1][0] for i in range(len(grid))]
+    singles = [_solve_windows(estimate, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg).iterations for i in range(len(grid))]
     assert singles == counts
+    assert res.region_iterations.tolist() == singles
     assert len(set(counts)) > 1
     whole = inpaint_directional(damaged, mask, 8, cfg)
     assert np.array_equal(whole.estimate.image, estimate)
@@ -167,7 +168,7 @@ def test_an_all_zero_window_in_a_stack_steps_once():
     patches = [(*pc, k) for pc, k in zip(grid.coords, grid.kernels)]
     ref, counts, _ = patch_loop(base, mask, patches, cfg.epsilon, cfg.max_iters)
     assert counts[5] == 1 and min(np.delete(counts, 5)) > 1
-    singles = [_solve_windows(base, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg)[1][0] for i in range(len(grid))]
+    singles = [_solve_windows(base, mask, grid.coords[i : i + 1], grid.kernels[i : i + 1], cfg).iterations for i in range(len(grid))]
     assert singles == counts
     res = diffuse_patches(base, mask, grid, cfg)
     assert np.array_equal(res.image, ref)
@@ -214,10 +215,10 @@ def test_a_zero_patch_beside_a_bright_one_steps_from_its_halo():
     mask[4:6, 2:6] = 0
     coords, kernels = split_into_patches(8, 8, 4), np.array([diamond_kernel()] * 4)
     cfg = DiffusionConfig()
-    res, counts, _ = _solve_windows(base, mask, coords, kernels, cfg)
+    res = _solve_windows(base, mask, coords, kernels, cfg)
     out = res.image
     ref, ref_counts, _ = patch_loop(base, mask, [(*pc, k) for pc, k in zip(coords, kernels)], cfg.epsilon, cfg.max_iters)
-    assert np.array_equal(out, ref) and counts.tolist() == ref_counts
+    assert np.array_equal(out, ref) and res.region_iterations.tolist() == ref_counts
     assert (out[4:6, 2:6] > 0).all()
 
 
@@ -252,10 +253,11 @@ def test_patch_order_does_not_change_the_result():
 
     # a grid is always row-major, so the engine gets the permuted regions directly
     order = rng.permutation(len(grid))
-    res_a, counts_a, _ = _solve_windows(base.image, mask, grid.coords, grid.kernels)
-    res_b, counts_b, _ = _solve_windows(base.image, mask, grid.coords[order], grid.kernels[order])
+    res_a = _solve_windows(base.image, mask, grid.coords, grid.kernels)
+    res_b = _solve_windows(base.image, mask, grid.coords[order], grid.kernels[order])
+    counts_a = res_a.region_iterations
     assert np.array_equal(res_a.image, res_b.image)
-    assert np.array_equal(counts_b, counts_a[order]) and len(set(counts_a)) > 1
+    assert np.array_equal(res_b.region_iterations, counts_a[order]) and len(set(counts_a)) > 1
     assert np.array_equal(diffuse_patches(base.image, mask, grid).image, res_a.image)
 
 
@@ -269,11 +271,35 @@ def test_aggregate_diagnostics():
     assert res.converged
     assert res.final_delta <= DiffusionConfig().epsilon
     assert len(res.grid) == 9
+    # the totals are derived from the two solves, which the result keeps
+    assert res.iterations == res.estimate.iterations + res.patches.iterations
+    assert res.image is res.patches.image
+    assert res.patches.region_iterations.shape == res.grid.angles.shape == (9,)
     # capped so only the estimate misses the threshold: final_delta reports it.
     # The estimate needs 12 steps from its warm start, the patches at most 10
     capped = inpaint_directional(damaged, mask, patch_size=8, config=DiffusionConfig(max_iters=10))
     assert not capped.estimate.converged and not capped.converged
+    assert capped.patches.converged and capped.patches.region_iterations.max() <= 10
     assert capped.final_delta == capped.estimate.final_delta > DiffusionConfig().epsilon
+
+
+def test_a_cap_that_only_the_patch_pass_hits():
+    # 8x8 horizontal stripes of period 4 with a 2x2 hole at the centre: the
+    # diamond estimate stops after 2 steps with delta 0, but the one patch's
+    # near-horizontal kernel moves the hole for 5 steps, so a cap of 3 stops
+    # the patch pass only
+    img = _hstripes(8)
+    mask = np.ones((8, 8), dtype=np.uint8)
+    mask[3:5, 3:5] = 0
+    cfg = DiffusionConfig(max_iters=3)
+    res = inpaint_directional(apply_damage(img, mask), mask, patch_size=8, config=cfg)
+    assert res.estimate.converged and res.estimate.iterations == 2
+    assert not res.patches.converged and res.patches.region_iterations.tolist() == [3]
+    assert not res.converged
+    assert res.final_delta == res.patches.final_delta > cfg.epsilon >= res.estimate.final_delta
+    assert res.iterations == 5
+    # uncapped, the patch pass converges on its own
+    assert inpaint_directional(apply_damage(img, mask), mask, patch_size=8).patches.iterations == 5
 
 
 def test_clipped_patches_are_still_processed():

@@ -76,8 +76,8 @@ def test_diffuse_patches_matches_reference_loop(case, patch_size, data):
     p = len(coords)
     # arbitrary per-patch kernels go to the engine, which diffuse_patches calls
     kernels = np.array(data.draw(st.lists(KERNELS, min_size=p, max_size=p)))
-    res, counts, deltas = _solve_windows(image, mask, coords, kernels, cfg)
-    out = res.image
+    res = _solve_windows(image, mask, coords, kernels, cfg)
+    out, counts, deltas = res.image, res.region_iterations, res.region_deltas
     ref, ref_counts, ref_deltas = patch_loop(image, mask, [(*pc, k) for pc, k in zip(coords, kernels)], cfg.epsilon, cfg.max_iters)
     assert np.array_equal(out, ref)
     assert counts.tolist() == ref_counts
@@ -87,7 +87,7 @@ def test_diffuse_patches_matches_reference_loop(case, patch_size, data):
     assert np.array_equal(out[mask == 1], image[mask == 1])
     # per-patch counts, one patch per engine call
     for i, count in enumerate(ref_counts):
-        assert _solve_windows(image, mask, coords[i : i + 1], kernels[i : i + 1], cfg)[1][0] == count
+        assert _solve_windows(image, mask, coords[i : i + 1], kernels[i : i + 1], cfg).iterations == count
     # a grid's kernels are its angles rotated
     grid = PatchGrid(image.shape, patch_size, data.draw(st.lists(st.floats(-90.0, 90.0), min_size=p, max_size=p)))
     res = diffuse_patches(image, mask, grid, cfg)
