@@ -13,23 +13,44 @@ import operator
 import numpy as np
 
 
+def as_real_array(values, what: str, dtype=np.float64) -> np.ndarray:
+    """Coerce an array argument to dtype, without copying when possible; complex values raise ValueError naming it.
+
+    This is the one coercion of an array argument. It never takes the
+    real part: a complex input is refused, not cast with only a
+    ComplexWarning. dtype None keeps the input's own real dtype, as a
+    mask does.
+    """
+    if np.iscomplexobj(values):
+        raise ValueError(f"expected a real {what}, got complex values of dtype {np.asarray(values).dtype}")
+    return np.asarray(values, dtype=dtype)
+
+
+def require(ok, message: str) -> None:
+    """Raise ValueError(message.format(count)) when any entry of ok is False, count being how many are.
+
+    This is the one count-and-refuse check: a message that names the
+    count holds one {} field.
+    """
+    bad = np.size(ok) - int(np.count_nonzero(ok))
+    if bad:
+        raise ValueError(message.format(bad))
+
+
 def as_image(values) -> np.ndarray:
     """Coerce to a non-empty 2-D float64 array, without copying when possible; complex values raise ValueError."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"expected a real image, got complex values of dtype {np.asarray(values).dtype}")
-    img = np.asarray(values, dtype=np.float64)
+    img = as_real_array(values, "image")
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {np.shape(values)}")
     return img
 
 
 def as_mask(values) -> np.ndarray:
-    """Coerce to a non-empty 2-D uint8 mask and check every bit is 0 or 1."""
-    m = np.asarray(values)
+    """Coerce to a non-empty 2-D uint8 mask and check every bit is 0 or 1; complex values raise ValueError."""
+    m = as_real_array(values, "mask", dtype=None)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a non-empty 2-D mask, got shape {np.shape(values)}")
-    if np.count_nonzero((m != 0) & (m != 1)):
-        raise ValueError("mask values must be 0 (missing) or 1 (known)")
+    require((m == 0) | (m == 1), "mask values must be 0 (missing) or 1 (known)")
     return m.astype(np.uint8, copy=False)
 
 
@@ -43,9 +64,7 @@ def as_int(value, name: str) -> int:
 
 def require_finite(img: np.ndarray) -> np.ndarray:
     """Return img; a NaN or infinite pixel raises ValueError, with the count of them."""
-    bad = img.size - int(np.count_nonzero(np.isfinite(img)))
-    if bad:
-        raise ValueError(f"image has {bad} non-finite pixel(s); NaN and inf are not valid intensities")
+    require(np.isfinite(img), "image has {} non-finite pixel(s); NaN and inf are not valid intensities")
     return img
 
 

@@ -38,7 +38,7 @@ class DiffusionConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionResult:
     """One solve as the engine measured it; its totals are derived, not stored.
 
@@ -49,7 +49,8 @@ class DiffusionResult:
     pixels takes no step and reports delta 0. epsilon is the threshold
     the solve was held to. iterations is the steps summed over the
     regions, final_delta the largest region delta, and converged holds
-    when every region delta is at most epsilon.
+    when every region delta is at most epsilon. Results compare and hash
+    by identity, as a PatchGrid does.
     """
 
     image: np.ndarray

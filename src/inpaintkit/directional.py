@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_image, as_int, group_by_shape, require_same_shape, split_into_patches
+from .core import as_image, as_int, as_real_array, group_by_shape, require_same_shape, split_into_patches
 from .diffusion import DiffusionConfig, DiffusionResult, _solve_windows, diffuse
 from .directionality import patch_angles
 from .kernels import diamond_kernel, rotate_kernel
@@ -32,7 +32,8 @@ class PatchGrid:
     as a read-only array. coords and kernels are not arguments: coords is
     the read-only (P, 4) array split_into_patches(*shape, patch_size) of
     (top, left, height, width) rows, and kernels the read-only (P, 3, 3)
-    rotate_kernel(angles), which refuses a NaN or infinite angle. These
+    rotate_kernel(angles), which refuses a NaN or infinite angle;
+    complex angles raise ValueError before either is built. These
     kernels are what the patch pass solves, byte for byte.
     """
 
@@ -46,7 +47,7 @@ class PatchGrid:
         rows, cols = self.shape
         object.__setattr__(self, "shape", (as_int(rows, "rows"), as_int(cols, "cols")))
         object.__setattr__(self, "coords", split_into_patches(*self.shape, self.patch_size))
-        angles = np.array(self.angles, dtype=np.float64)
+        angles = np.array(as_real_array(self.angles, "angle"))
         for name, value in (("angles", angles), ("kernels", rotate_kernel(angles))):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -58,7 +59,7 @@ class PatchGrid:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionalResult:
     """The two solves of inpaint_directional and the grid between them.
 
@@ -69,7 +70,7 @@ class DirectionalResult:
     final_delta the larger of their final deltas, and converged holds
     when both met epsilon. Each solve keeps its own counts, so
     patches.region_iterations and patches.region_deltas are in grid
-    order, beside grid.angles.
+    order, beside grid.angles. Results compare and hash by identity.
     """
 
     grid: PatchGrid

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import as_real_array, require_finite
+
 D_THRESHOLD = 0.6
 
 
@@ -30,8 +32,10 @@ def patch_angles(stack) -> np.ndarray:
     buffer: each circular difference is written into it by slices (a
     shift's wrapped row or column is its own block), made absolute in
     place and summed per patch, so a call allocates one stack-sized
-    array beyond its input. An input that is not 3-D raises ValueError;
-    an empty stack gives an empty result.
+    array beyond its input. An empty stack gives an empty result.
+
+    Raises ValueError on complex values, on a NaN or infinite entry,
+    with the count of them, and on an input that is not 3-D.
 
     Worked examples, exact up to float rounding:
       * constant patch: v = h = 0, d = 1, theta = 90.
@@ -41,7 +45,7 @@ def patch_angles(stack) -> np.ndarray:
       * zero-diagonal patch, the unit checkerboard: v = h = s, diag = 0,
         so d < 0.6 and theta = -theta1.
     """
-    stack = np.asarray(stack, dtype=np.float64)
+    stack = require_finite(as_real_array(stack, "patch stack"))
     if stack.ndim != 3:
         raise ValueError(f"expected a (P, H, W) stack of patches, got shape {stack.shape}")
     n, rows, cols = stack.shape

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_image, require_finite
+from .core import as_image, as_real_array, require_finite
 
 # whitespace and '#' comments (up to the newline), then one token; the
 # token is empty only at the end of the data
@@ -29,7 +29,7 @@ class ImageFormatError(ValueError):
 
 def quantize(img) -> np.ndarray:
     """Map [0, 1] intensities to uint8, rounding and clipping each element on its own; any shape."""
-    img = np.asarray(img, dtype=np.float64)
+    img = as_real_array(img, "image")
     # the one float temporary, rounded and clipped in place; out= keeps a 0-d input an array
     q = np.multiply(img, 255.0, out=np.empty_like(img))
     np.rint(q, out=q)

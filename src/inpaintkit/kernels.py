@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import as_real_array, require
+
 
 def diamond_kernel() -> np.ndarray:
     """Isotropic 4-neighbour averaging kernel."""
@@ -35,12 +37,11 @@ def normalize(kernel) -> np.ndarray:
       1. on any negative or non-finite weight, with the count of them;
       2. on a sum of finite weights that overflows to infinity;
       3. on a sum of zero.
-    The last two name a degenerate kernel.
+    The last two name a degenerate kernel. Complex weights raise
+    ValueError before any of them.
     """
-    k = np.asarray(kernel, dtype=np.float64)
-    bad = k.size - int(np.count_nonzero(np.isfinite(k) & (k >= 0.0)))
-    if bad:
-        raise ValueError(f"kernel has {bad} negative or non-finite weight(s); weights must be finite and >= 0")
+    k = as_real_array(kernel, "kernel")
+    require(np.isfinite(k) & (k >= 0.0), "kernel has {} negative or non-finite weight(s); weights must be finite and >= 0")
     with np.errstate(over="ignore"):  # an overflowing sum is refused just below
         total = k.sum(axis=(-2, -1), keepdims=True)
     if not (np.isfinite(total) & (total > 0.0)).all():
@@ -94,13 +95,11 @@ def rotate_kernel(theta_deg) -> np.ndarray:
     180 degrees apart give the same kernel up to floating point noise. A
     scalar angle gives one (3, 3) kernel, an array of angles of shape S
     an S + (3, 3) stack, rotated at most 4,096 angles at a time into the
-    preallocated output. Raises ValueError, before any work, if an angle
-    is NaN or infinite, with the count of them.
+    preallocated output. Raises ValueError, before any work, on complex
+    angles, and on NaN or infinite ones, with the count of them.
     """
-    theta = np.asarray(theta_deg, dtype=np.float64)
-    bad = theta.size - int(np.count_nonzero(np.isfinite(theta)))
-    if bad:
-        raise ValueError(f"{bad} NaN or infinite angle(s); angles must be finite")
+    theta = as_real_array(theta_deg, "angle")
+    require(np.isfinite(theta), "{} NaN or infinite angle(s); angles must be finite")
     out = np.empty(theta.shape + (3, 3))
     angles, kernels = theta.reshape(-1), out.reshape(-1, 3, 3)
     y, x = np.mgrid[-1:2, -1:2].astype(np.float64)

@@ -60,6 +60,7 @@ class Mutant:
 # Left out as equivalent: pairing index i with (i - 1) mod n instead of
 # (i + 1) mod n in patch_angles. A circular difference sum does not depend on
 # the shift's direction, so only the summation order could tell them apart.
+CORE = "src/inpaintkit/core.py"
 DIFFUSION = "src/inpaintkit/diffusion.py"
 DIRECTIONAL = "src/inpaintkit/directional.py"
 DIRECTIONALITY = "src/inpaintkit/directionality.py"
@@ -193,6 +194,20 @@ MUTANTS = (
         "diffuse solves its kernel as given, so a kernel whose weights do not sum to 1 is not an average",
     ),
     Mutant(
+        "result-compares-by-value",
+        DIFFUSION,
+        "@dataclass(frozen=True, eq=False)\nclass DiffusionResult:",
+        "@dataclass(frozen=True)\nclass DiffusionResult:",
+        "comparing two solves compares their image arrays and raises, and a solve cannot be hashed",
+    ),
+    Mutant(
+        "grid-casts-by-hand",
+        DIRECTIONAL,
+        'np.array(as_real_array(self.angles, "angle"))',
+        "np.array(self.angles, dtype=np.float64)",
+        "a grid of complex angles is built with only a warning, their imaginary parts dropped",
+    ),
+    Mutant(
         "grid-shape-unchecked",
         DIRECTIONAL,
         'require_same_shape(base, grid, "base and grid")',
@@ -231,14 +246,28 @@ MUTANTS = (
     ),
     Mutant(
         "as-mask-lets-nan-through",
-        "src/inpaintkit/core.py",
-        "if np.count_nonzero((m != 0) & (m != 1)):",
-        "if np.count_nonzero((m != 0) & (m != 1) & (m == m)):",
+        CORE,
+        "require((m == 0) | (m == 1),",
+        "require((m == 0) | (m == 1) | (m != m),",
         "a NaN mask value passes the 0/1 check",
     ),
     Mutant(
+        "as-mask-casts-by-hand",
+        CORE,
+        'm = as_real_array(values, "mask", dtype=None)',
+        "m = np.asarray(values)",
+        "a complex mask is cast to uint8 with only a warning, its imaginary part dropped",
+    ),
+    Mutant(
+        "require-misses-a-single-failure",
+        CORE,
+        "if bad:\n        raise ValueError(message.format(bad))",
+        "if bad > 1:\n        raise ValueError(message.format(bad))",
+        "a check with exactly one failing entry, such as one NaN pixel, passes",
+    ),
+    Mutant(
         "patch-clamp-to-shorter-side",
-        "src/inpaintkit/core.py",
+        CORE,
         "n = min(n, max(rows, cols))",
         "n = min(n, min(rows, cols))",
         "a patch past a non-square image is clamped to its shorter side and splits it",
@@ -286,6 +315,13 @@ MUTANTS = (
         "`python -m inpaintkit.cli` exits 0 whatever main returns",
     ),
     Mutant(
+        "quantize-casts-by-hand",
+        IMAGE_IO,
+        'img = as_real_array(img, "image")',
+        "img = np.asarray(img, dtype=np.float64)",
+        "quantize writes the real part of a complex image with only a warning",
+    ),
+    Mutant(
         "read-divides-by-255",
         IMAGE_IO,
         "return raster / float(maxval)",
@@ -305,6 +341,20 @@ MUTANTS = (
         "quantize(require_finite(as_image(img)))",
         "quantize(as_image(img))",
         "write_image writes NaN as 0 and inf as 255 without an error",
+    ),
+    Mutant(
+        "patch-angles-casts-by-hand",
+        DIRECTIONALITY,
+        'as_real_array(stack, "patch stack")',
+        "np.asarray(stack, dtype=np.float64)",
+        "a complex patch stack is measured with only a warning, its imaginary part dropped",
+    ),
+    Mutant(
+        "patch-angles-lets-non-finite-through",
+        DIRECTIONALITY,
+        'require_finite(as_real_array(stack, "patch stack"))',
+        'as_real_array(stack, "patch stack")',
+        "a NaN pixel gives its patch a NaN angle in silence, later blamed on the angle",
     ),
     Mutant(
         "threshold-one-half",
@@ -372,9 +422,23 @@ MUTANTS = (
     Mutant(
         "rotate-lets-inf-angle-through",
         KERNELS,
-        "np.count_nonzero(np.isfinite(theta))",
-        "np.count_nonzero(~np.isnan(theta))",
+        "require(np.isfinite(theta),",
+        "require(~np.isnan(theta),",
         "an infinite angle passes the finiteness check and is rotated into an index error",
+    ),
+    Mutant(
+        "rotate-casts-by-hand",
+        KERNELS,
+        'theta = as_real_array(theta_deg, "angle")',
+        "theta = np.asarray(theta_deg, dtype=np.float64)",
+        "a complex angle is rotated with only a warning, its imaginary part dropped",
+    ),
+    Mutant(
+        "normalize-casts-by-hand",
+        KERNELS,
+        'k = as_real_array(kernel, "kernel")',
+        "k = np.asarray(kernel, dtype=np.float64)",
+        "a complex kernel is normalized and solved with only a warning, its imaginary part dropped",
     ),
     Mutant(
         "normalize-lets-nan-sum-through",

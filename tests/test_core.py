@@ -8,8 +8,10 @@ import pytest
 from inpaintkit.core import (
     as_image,
     as_mask,
+    as_real_array,
     mse,
     group_by_shape,
+    require,
     require_same_shape,
     split_into_patches,
 )
@@ -40,6 +42,44 @@ def test_as_image_refuses_complex_values(values):
 def test_as_image_does_not_copy_float64():
     img = np.zeros((3, 2))
     assert as_image(img) is img
+
+
+@pytest.mark.parametrize("what", ["kernel", "angle", "patch stack"])
+def test_as_real_array_refuses_complex_values_naming_the_argument(what):
+    # a zero imaginary part is refused too: the real part is never taken
+    for values in (np.zeros(3) + 0j, np.ones((2, 2), dtype=np.complex64), [1j, 0.0], 2 + 0j):
+        with pytest.raises(ValueError, match=f"^expected a real {what}, got complex values of dtype complex"):
+            as_real_array(values, what)
+
+
+def test_as_real_array_does_not_copy_and_keeps_the_dtype_asked_for():
+    values = np.zeros((2, 3))
+    assert as_real_array(values, "kernel") is values
+    assert as_real_array([[1, 0]], "kernel").dtype == np.float64
+    ints = np.array([1, 2], dtype=np.int32)
+    assert as_real_array(ints, "mask", dtype=None) is ints
+    mask = np.ones((3, 2), dtype=np.uint8)
+    assert as_mask(mask) is mask
+
+
+@pytest.mark.parametrize("values", [np.ones((2, 2)) + 0j, np.ones((2, 2), dtype=np.complex64), [[1j, 0], [0, 1]]])
+def test_as_mask_refuses_complex_values(values):
+    # the uint8 cast would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match="expected a real mask, got complex"):
+        as_mask(values)
+
+
+def test_require_counts_the_entries_that_fail():
+    assert require(np.ones((2, 3), dtype=bool), "{} bad") is None
+    assert require([], "{} bad") is None
+    # exactly one failing entry is refused, with its count
+    with pytest.raises(ValueError, match="^1 bad$"):
+        require([True, False, True], "{} bad")
+    with pytest.raises(ValueError, match="^2 bad$"):
+        require(np.array([[False, True], [True, False]]), "{} bad")
+    with pytest.raises(ValueError, match="^no count here$"):
+        require(False, "no count here")
+
 
 
 def test_as_mask_accepts_binary_and_rejects_other_values():

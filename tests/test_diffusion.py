@@ -287,6 +287,29 @@ def test_complex_image_is_refused():
         diffuse(img + 0j, mask, diamond_kernel())
 
 
+@pytest.mark.parametrize("what", ["kernel", "mask"])
+def test_a_complex_kernel_or_mask_is_refused_by_name(what):
+    # a zero imaginary part is refused too: a cast would drop it with only a warning
+    args = {"kernel": diamond_kernel(), "mask": random_mask(8, 8, 0.3, seed=5)}
+    args[what] = args[what] + 0j
+    with pytest.raises(ValueError, match=f"expected a real {what}, got complex"):
+        diffuse(np.random.default_rng(6).uniform(size=(8, 8)), **args)
+
+
+def test_results_compare_by_identity():
+    # two solves of one input hold equal arrays but are two results; a
+    # comparison never compares the arrays, so it neither raises nor hashes them
+    mask = random_mask(8, 8, 0.3, seed=5)
+    img = np.random.default_rng(6).uniform(size=(8, 8))
+    a, b = (diffuse(img, mask, diamond_kernel()) for _ in range(2))
+    assert np.array_equal(a.image, b.image)
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
 def test_bad_kernel_weight_raises(weight):
     rng = np.random.default_rng(10)

@@ -356,6 +356,40 @@ def test_a_grid_refuses_non_finite_angles(angles, count):
         PatchGrid((8, 8), 4, angles)
 
 
+@pytest.mark.parametrize("angles", [np.zeros(4) + 0j, [0.0, 45j, 0.0, 0.0]], ids=["zero-imaginary", "list"])
+def test_a_grid_refuses_complex_angles(angles):
+    with pytest.raises(ValueError, match="^expected a real angle, got complex"):
+        PatchGrid((8, 8), 4, angles)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_build_patch_grid_refuses_a_non_finite_pixel(value):
+    # the pixel is named, not the NaN angle it would become
+    img = np.random.default_rng(24).uniform(size=(9, 8))
+    img[8, 7] = value
+    with pytest.raises(ValueError, match="^image has 1 non-finite pixel"):
+        build_patch_grid(img, 4)
+
+
+def test_a_complex_mask_is_refused():
+    mask = random_mask(16, 16, 0.3, seed=32)
+    damaged = apply_damage(np.random.default_rng(31).uniform(size=(16, 16)), mask)
+    with pytest.raises(ValueError, match="expected a real mask, got complex"):
+        inpaint_directional(damaged, mask + 0j, 8)
+
+
+def test_directional_results_compare_by_identity():
+    mask = random_mask(16, 16, 0.3, seed=32)
+    damaged = apply_damage(np.random.default_rng(31).uniform(size=(16, 16)), mask)
+    a, b = (inpaint_directional(damaged, mask, 8) for _ in range(2))
+    assert np.array_equal(a.image, b.image)
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_overlay_draws_along_the_reported_angle():
     # odd patch side keeps the segment centre on an exact pixel
     img = np.zeros((15, 15))

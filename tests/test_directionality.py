@@ -169,6 +169,22 @@ def test_a_stack_that_is_not_three_dimensional_is_refused():
         patch_angles(_checkerboard(4))
 
 
+def test_a_complex_stack_is_refused():
+    with pytest.raises(ValueError, match="^expected a real patch stack, got complex"):
+        patch_angles(_checkerboard(4)[None] + 0j)
+
+
+@pytest.mark.parametrize(("value", "count"), [(np.nan, 1), (np.inf, 1), (-np.inf, 2)], ids=["nan", "inf", "two-inf"])
+def test_a_non_finite_stack_is_refused_with_its_count(value, count):
+    # a NaN would give a NaN angle in silence, and an inf one an invalid subtraction
+    stack = np.stack([_checkerboard(4), np.zeros((4, 4))])
+    stack[1, 2, 3] = value
+    if count == 2:
+        stack[0, 0, 0] = value
+    with pytest.raises(ValueError, match=f"^image has {count} non-finite pixel"):
+        patch_angles(stack)
+
+
 def test_an_empty_stack_has_no_angles():
     angles = patch_angles(np.zeros((0, 4, 5)))
     assert angles.shape == (0,) and angles.dtype == np.float64

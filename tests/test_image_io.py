@@ -25,6 +25,13 @@ def test_quantize_endpoints_and_rounding():
     assert q[1, 1] == 255  # clipped
 
 
+@pytest.mark.parametrize("img", [np.zeros((2, 2)) + 0.5j, np.ones(3, dtype=np.complex64), 1 + 0j], ids=["2d", "1d", "scalar"])
+def test_quantize_refuses_complex_values(img):
+    # a cast to float64 would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match="^expected a real image, got complex"):
+        quantize(img)
+
+
 def test_quantize_of_any_shape_matches_the_2d_result_element_by_element():
     rng = np.random.default_rng(29)
     img = rng.uniform(-0.2, 1.2, size=(7, 9))

@@ -192,6 +192,20 @@ def test_rotate_kernel_refuses_non_finite_angles(theta, count):
             rotate_kernel(theta)
 
 
+@pytest.mark.parametrize("theta", [30.0 + 0j, np.zeros(3, dtype=np.complex64), [0.0, 45j]], ids=["scalar", "array", "list"])
+def test_rotate_kernel_refuses_complex_angles(theta):
+    # a cast to float64 would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match="^expected a real angle, got complex"):
+        rotate_kernel(theta)
+
+
+@pytest.mark.parametrize("kernel", [diamond_kernel() + 0j, diamond_kernel() + 0.1j, diamond_kernel()[None].astype(np.complex64)])
+def test_normalize_refuses_complex_weights(kernel):
+    # refused before any weight is checked, even with a zero imaginary part
+    with pytest.raises(ValueError, match="^expected a real kernel, got complex"):
+        normalize(kernel)
+
+
 def test_rotate_kernel_chunks_match_a_call_on_each_slice():
     # 8,200 angles cross the chunk boundaries at 4,096 and 8,192; a slice
     # across a boundary, called alone, is rotated in one chunk
