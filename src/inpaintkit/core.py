@@ -54,12 +54,21 @@ def as_mask(values) -> np.ndarray:
     return m.astype(np.uint8, copy=False)
 
 
-def as_int(value, name: str) -> int:
-    """Return an integer argument as an int; a float or other non-integer raises TypeError naming it."""
+def as_int(value, name: str, least: int) -> int:
+    """Return an integer argument as an int, refusing it by name when it is not one or is below least.
+
+    This is the one conversion and the one lower bound of an integer
+    argument: a float or other non-integer raises TypeError, and a value
+    below least raises ValueError naming the argument and its bound. A
+    numpy integer comes back as a plain int.
+    """
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def require_finite(img: np.ndarray) -> np.ndarray:
@@ -87,14 +96,11 @@ def split_into_patches(rows: int, cols: int, n: int) -> np.ndarray:
     Returns a read-only (P, 4) intp array of (top, left, height, width)
     rows. Trailing patches are clipped to the image boundary, so every
     pixel belongs to exactly one patch. An n past the image is clamped to
-    max(rows, cols): the one patch that covers the whole image. A size
-    that is not an integer raises TypeError naming it.
+    max(rows, cols): the one patch that covers the whole image. Each size
+    goes through as_int: one that is not an integer raises TypeError, and
+    rows or cols below 1 or n below 2 raises ValueError, naming it.
     """
-    rows, cols, n = as_int(rows, "rows"), as_int(cols, "cols"), as_int(n, "patch size")
-    if n < 2:
-        raise ValueError(f"patch size must be >= 2, got {n}")
-    if rows < 1 or cols < 1:
-        raise ValueError(f"image size must be positive, got {rows}x{cols}")
+    rows, cols, n = as_int(rows, "rows", 1), as_int(cols, "cols", 1), as_int(n, "patch size", 2)
     n = min(n, max(rows, cols))
     tops, lefts = np.meshgrid(np.arange(0, rows, n, dtype=np.intp), np.arange(0, cols, n, dtype=np.intp), indexing="ij")
     coords = np.stack([tops, lefts, np.minimum(n, rows - tops), np.minimum(n, cols - lefts)], axis=-1).reshape(-1, 4)

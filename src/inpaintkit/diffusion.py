@@ -29,13 +29,11 @@ class DiffusionConfig:
     max_iters: int = 10_000
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters"))
+        object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
         if not isinstance(self.epsilon, numbers.Real):
             raise TypeError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True, eq=False)

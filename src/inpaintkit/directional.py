@@ -27,14 +27,18 @@ from .kernels import diamond_kernel, rotate_kernel
 class PatchGrid:
     """The n-by-n tiling of an image, with one angle and one kernel per patch.
 
-    shape is the image's (rows, cols), held as two ints, patch_size the n
-    it is tiled with, and angles the (P,) patch angles in degrees, held
-    as a read-only array. coords and kernels are not arguments: coords is
-    the read-only (P, 4) array split_into_patches(*shape, patch_size) of
+    shape is the image's (rows, cols) and patch_size the n asked for,
+    each held as the int core.as_int returns: a size that is not an
+    integer raises TypeError, and rows or cols below 1 or a patch_size
+    below 2 ValueError. A patch_size past the image tiles it as one
+    patch. angles are the (P,) patch angles in degrees, held as a
+    read-only array. coords and kernels are not arguments: coords is the
+    read-only (P, 4) array split_into_patches(*shape, patch_size) of
     (top, left, height, width) rows, and kernels the read-only (P, 3, 3)
-    rotate_kernel(angles), which refuses a NaN or infinite angle;
-    complex angles raise ValueError before either is built. These
-    kernels are what the patch pass solves, byte for byte.
+    rotate_kernel(angles). Complex angles, or angles of any shape but
+    (P,), raise ValueError before any kernel is rotated; rotate_kernel
+    then refuses a NaN or infinite angle. These kernels are what the
+    patch pass solves, byte for byte.
     """
 
     shape: tuple[int, int]
@@ -45,15 +49,16 @@ class PatchGrid:
 
     def __post_init__(self):
         rows, cols = self.shape
-        object.__setattr__(self, "shape", (as_int(rows, "rows"), as_int(cols, "cols")))
+        object.__setattr__(self, "shape", (as_int(rows, "rows", 1), as_int(cols, "cols", 1)))
+        object.__setattr__(self, "patch_size", as_int(self.patch_size, "patch size", 2))
         object.__setattr__(self, "coords", split_into_patches(*self.shape, self.patch_size))
         angles = np.array(as_real_array(self.angles, "angle"))
-        for name, value in (("angles", angles), ("kernels", rotate_kernel(angles))):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
         p = len(self.coords)
         if angles.shape != (p,):
             raise ValueError(f"{p} patches take ({p},) angles, got {angles.shape}")
+        for name, value in (("angles", angles), ("kernels", rotate_kernel(angles))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -132,12 +137,11 @@ def inpaint_directional(
     as callback(iteration, image) after each of its iterations, with a
     read-only view of the live iterate as in diffuse; the per-patch runs
     do not report progress.
-    patch_size goes through split_into_patches before any work is done:
-    one that is not an integer raises TypeError, one below 2 ValueError,
-    and one past the image gives the result of patch_size=max(rows, cols).
+    patch_size goes through as_int before any work is done: one that is
+    not an integer raises TypeError, one below 2 ValueError, and one past
+    the image gives the result of patch_size=max(rows, cols).
     """
-    patch_size = as_int(patch_size, "patch_size")
-    split_into_patches(*as_image(damaged).shape, patch_size)
+    patch_size = as_int(patch_size, "patch_size", 2)
     estimate = diffuse(damaged, mask, diamond_kernel(), config, callback=callback)
     grid = build_patch_grid(estimate.image, patch_size)
     return DirectionalResult(grid, estimate, diffuse_patches(estimate.image, mask, grid, config))

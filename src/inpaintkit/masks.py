@@ -22,11 +22,11 @@ def random_mask(rows: int, cols: int, missing_fraction: float, seed: int) -> np.
     """Mask with exactly round(missing_fraction * rows * cols) missing pixels.
 
     Pixel positions are drawn by a seeded shuffle, so the count is exact
-    rather than binomial and the result is reproducible.
+    rather than binomial and the result is reproducible. rows and cols
+    go through as_int: one that is not an integer raises TypeError, and
+    one below 1 ValueError, naming it.
     """
-    rows, cols = as_int(rows, "rows"), as_int(cols, "cols")
-    if rows < 1 or cols < 1:
-        raise ValueError(f"mask size must be positive, got {rows}x{cols}")
+    rows, cols = as_int(rows, "rows", 1), as_int(cols, "cols", 1)
     if not (0.0 <= missing_fraction <= 1.0):
         raise ValueError(f"missing_fraction must be in [0, 1], got {missing_fraction}")
     total = rows * cols
@@ -46,14 +46,12 @@ def text_mask(rows: int, cols: int, text: str, scale: int = 1) -> np.ndarray:
     rows per line; the character stream continues across line breaks.
     Characters without a glyph render blank but still advance. A scale
     past the image is clamped to max(rows, cols): every pixel then reads
-    the first glyph cell's corner. A mask too large for numpy to index
-    raises ValueError.
+    the first glyph cell's corner. rows, cols and scale go through
+    as_int: one that is not an integer raises TypeError, and one below 1
+    ValueError, naming it. A mask too large for numpy to index raises
+    ValueError.
     """
-    rows, cols, scale = as_int(rows, "rows"), as_int(cols, "cols"), as_int(scale, "scale")
-    if rows < 1 or cols < 1:
-        raise ValueError(f"mask size must be positive, got {rows}x{cols}")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
+    rows, cols, scale = as_int(rows, "rows", 1), as_int(cols, "cols", 1), as_int(scale, "scale", 1)
     if not text:
         raise ValueError("text must be non-empty")
     scale = min(scale, max(rows, cols))

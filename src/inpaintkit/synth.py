@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import as_int
+
 AMPLITUDE = 0.62  # peak-to-peak height of the stripes and rings about 0.5, leaving room in [0, 1] for shading
 
 
 def _coords(size: int):
-    """Float row and column coordinates as a (size, 1) column and a (1, size) row that broadcast to (size, size)."""
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
+    """Float row and column coordinates as a (size, 1) column and a (1, size) row that broadcast to (size, size).
+
+    size goes through as_int: one that is not an integer raises TypeError,
+    and one below 1 ValueError, naming it.
+    """
+    size = as_int(size, "size", 1)
     return np.ogrid[0.0:size, 0.0:size]
 
 

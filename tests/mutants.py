@@ -45,6 +45,7 @@ SUBSET = (
     "test_image_io",
     "test_directionality",
     "test_kernels",
+    "test_synth",
 )
 
 
@@ -66,6 +67,7 @@ DIRECTIONAL = "src/inpaintkit/directional.py"
 DIRECTIONALITY = "src/inpaintkit/directionality.py"
 IMAGE_IO = "src/inpaintkit/image_io.py"
 KERNELS = "src/inpaintkit/kernels.py"
+SYNTH = "src/inpaintkit/synth.py"
 MUTANTS = (
     Mutant(
         "tap-zero-in-any-kernel",
@@ -208,6 +210,25 @@ MUTANTS = (
         "a grid of complex angles is built with only a warning, their imaginary parts dropped",
     ),
     Mutant(
+        "grid-rotates-before-shape-check",
+        DIRECTIONAL,
+        """        p = len(self.coords)
+        if angles.shape != (p,):
+            raise ValueError(f"{p} patches take ({p},) angles, got {angles.shape}")
+        for name, value in (("angles", angles), ("kernels", rotate_kernel(angles))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+""",
+        """        for name, value in (("angles", angles), ("kernels", rotate_kernel(angles))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        p = len(self.coords)
+        if angles.shape != (p,):
+            raise ValueError(f"{p} patches take ({p},) angles, got {angles.shape}")
+""",
+        "a grid rotates every angle it is given before it refuses angles of the wrong shape",
+    ),
+    Mutant(
         "grid-shape-unchecked",
         DIRECTIONAL,
         'require_same_shape(base, grid, "base and grid")',
@@ -266,6 +287,20 @@ MUTANTS = (
         "a check with exactly one failing entry, such as one NaN pixel, passes",
     ),
     Mutant(
+        "as-int-bound-inclusive",
+        CORE,
+        "if n < least:",
+        "if n <= least:",
+        "an integer argument equal to its lower bound, such as patch size 2 or max_iters 1, is refused",
+    ),
+    Mutant(
+        "synth-size-unconverted",
+        SYNTH,
+        'size = as_int(size, "size", 1)',
+        "pass",
+        "a synthetic image of non-integer size, such as stripes(2.5, ...), is built as a 3x3 image without a word",
+    ),
+    Mutant(
         "patch-clamp-to-shorter-side",
         CORE,
         "n = min(n, max(rows, cols))",
@@ -282,9 +317,9 @@ MUTANTS = (
     Mutant(
         "patch-size-checked-after-estimate",
         DIRECTIONAL,
-        "split_into_patches(*as_image(damaged).shape, patch_size)",
-        "as_image(damaged).shape",
-        "a patch size below 2 is refused only after the estimate pass has run",
+        'patch_size = as_int(patch_size, "patch_size", 2)',
+        'patch_size = as_int(patch_size, "patch_size", 1)',
+        "a patch size below 2 is refused only after the estimate pass has run, by split_into_patches",
     ),
     Mutant(
         "stale-snapshot-frame",

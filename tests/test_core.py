@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from inpaintkit.core import (
     require_same_shape,
     split_into_patches,
 )
+from inpaintkit.diffusion import DiffusionConfig
+from inpaintkit.directional import PatchGrid, build_patch_grid, inpaint_directional
+from inpaintkit.masks import apply_damage, random_mask, text_mask
+from inpaintkit.synth import standard_suite, stripes
 
 
 def test_as_image_accepts_lists_and_returns_float64():
@@ -168,6 +174,41 @@ def test_split_clamps_a_patch_past_the_image():
         for n in (max(rows, cols, 2), max(rows, cols) + 1, 10**30):
             coords = split_into_patches(rows, cols, n)
             assert coords.tolist() == [[0, 0, rows, cols]] and not coords.flags.writeable
+
+
+_MASK = random_mask(6, 6, 0.5, seed=3)
+_DAMAGED = apply_damage(np.random.default_rng(3).uniform(size=(6, 6)), _MASK)
+
+# every integer argument: a call that passes value to it, the name it is refused
+# by, and its lower bound
+INTEGER_ARGUMENTS = {
+    "split-rows": (lambda v: split_into_patches(v, 8, 4), "rows", 1),
+    "split-cols": (lambda v: split_into_patches(8, v, 4), "cols", 1),
+    "split-n": (lambda v: split_into_patches(8, 8, v), "patch size", 2),
+    "random-mask-rows": (lambda v: random_mask(v, 8, 0.5, 0), "rows", 1),
+    "random-mask-cols": (lambda v: random_mask(8, v, 0.5, 0), "cols", 1),
+    "text-mask-rows": (lambda v: text_mask(v, 8, "x"), "rows", 1),
+    "text-mask-cols": (lambda v: text_mask(8, v, "x"), "cols", 1),
+    "text-mask-scale": (lambda v: text_mask(8, 8, "x", v), "scale", 1),
+    "max-iters": (lambda v: DiffusionConfig(max_iters=v), "max_iters", 1),
+    "grid-rows": (lambda v: PatchGrid((v, 4), 4, np.zeros(1)), "rows", 1),
+    "grid-cols": (lambda v: PatchGrid((4, v), 4, np.zeros(1)), "cols", 1),
+    "grid-patch-size": (lambda v: PatchGrid((2, 2), v, np.zeros(1)), "patch size", 2),
+    "inpaint-directional-patch-size": (lambda v: inpaint_directional(_DAMAGED, _MASK, v), "patch_size", 2),
+    "build-patch-grid-patch-size": (lambda v: build_patch_grid(_DAMAGED, v), "patch size", 2),
+    "stripes-size": (lambda v: stripes(v, 8.0, 0.0), "size", 1),
+    "standard-suite-size": (lambda v: standard_suite(v), "size", 1),
+}
+
+
+@pytest.mark.parametrize("call, name, least", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_every_integer_argument_is_converted_and_bounded_by_name(call, name, least):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {float(least)}$"):
+        call(float(least))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be >= {least}, got {least - 1}')}$"):
+        call(least - 1)
+    call(least)
+    call(np.int64(least))
 
 
 def test_group_by_shape_partitions_the_indices_by_shape():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from inpaintkit import directional
 from inpaintkit.core import mse, split_into_patches
 from inpaintkit.diffusion import DiffusionConfig, _solve_windows, diffuse
 from inpaintkit.directional import (
@@ -189,7 +190,7 @@ def test_patch_size_is_checked_before_the_estimate_pass():
     mask = random_mask(16, 16, 0.5, seed=11)
     damaged = apply_damage(rng.uniform(size=(16, 16)), mask)
     calls = []
-    with pytest.raises(ValueError, match="patch size must be >= 2, got 1"):
+    with pytest.raises(ValueError, match="patch_size must be >= 2, got 1"):
         inpaint_directional(damaged, mask, patch_size=1, callback=lambda i, cur: calls.append(i))
     assert calls == []
 
@@ -345,15 +346,44 @@ def test_an_overlay_image_of_another_shape_than_the_grid_is_refused(other_shape)
 
 
 @pytest.mark.parametrize(
-    "angles, count",
-    [(np.nan, 1), ([0.0, np.inf, 45.0, -np.inf], 2), ([np.nan, 0.0, 0.0, 0.0], 1)],
+    "angles, message",
+    [
+        (np.nan, re.escape("4 patches take (4,) angles, got ()")),
+        ([0.0, np.inf, 45.0, -np.inf], "2 NaN or infinite angle"),
+        ([np.nan, 0.0, 0.0, 0.0], "1 NaN or infinite angle"),
+    ],
     ids=["scalar-nan", "inf-in-array", "nan-in-array"],
 )
-def test_a_grid_refuses_non_finite_angles(angles, count):
-    # the grid rotates its angles before it checks their shape, and rotate_kernel
-    # refuses a NaN or infinite one: the overlay would draw nothing for its patch
-    with pytest.raises(ValueError, match=f"{count} NaN or infinite angle"):
+def test_a_grid_refuses_non_finite_angles(angles, message):
+    # the grid checks its angles' shape before it rotates them, so a scalar is
+    # refused by shape; rotate_kernel then refuses a NaN or infinite angle in a
+    # (P,) array: the overlay would draw nothing for its patch
+    with pytest.raises(ValueError, match=message):
         PatchGrid((8, 8), 4, angles)
+
+
+def test_a_grid_checks_its_angles_shape_before_it_rotates_them(monkeypatch):
+    rotated = []
+
+    def recording(angles):
+        rotated.append(np.shape(angles))
+        return rotate_kernel(angles)
+
+    monkeypatch.setattr(directional, "rotate_kernel", recording)
+    with pytest.raises(ValueError, match=re.escape("1024 patches take (1024,) angles, got (200000,)")):
+        PatchGrid((512, 512), 16, np.zeros(200_000))
+    assert rotated == []
+    PatchGrid((8, 8), 4, np.zeros(4))
+    assert rotated == [(4,)]
+
+
+def test_a_grid_holds_its_patch_size_as_an_int():
+    grid = PatchGrid((np.int64(8), np.uint8(8)), np.int64(4), np.zeros(4))
+    assert type(grid.patch_size) is int and grid.patch_size == 4
+    assert all(type(side) is int for side in grid.shape)
+    # a size past the image is kept as asked for, and tiles the image as one patch
+    wide = PatchGrid((8, 8), 100, np.zeros(1))
+    assert wide.patch_size == 100 and wide.coords.tolist() == [[0, 0, 8, 8]]
 
 
 @pytest.mark.parametrize("angles", [np.zeros(4) + 0j, [0.0, 45j, 0.0, 0.0]], ids=["zero-imaginary", "list"])

@@ -138,8 +138,8 @@ def test_text_mask_validation():
         text_mask(8, 8, "")
     with pytest.raises(ValueError):
         text_mask(8, 8, "x", scale=0)
-    for rows, cols in ((0, 8), (8, 0), (-1, 8)):
-        with pytest.raises(ValueError, match=f"mask size must be positive, got {rows}x{cols}"):
+    for rows, cols, message in ((0, 8, "rows must be >= 1, got 0"), (8, 0, "cols must be >= 1, got 0"), (-1, 8, "rows must be >= 1, got -1")):
+        with pytest.raises(ValueError, match=message):
             text_mask(rows, cols, "x")
     # a non-integer size or scale names its argument
     for kwargs, name in (({"rows": 16.0}, "rows"), ({"cols": 16.0}, "cols"), ({"scale": 2.0}, "scale")):

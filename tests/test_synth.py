@@ -60,7 +60,7 @@ def test_standard_suite_contents():
     again = standard_suite(64)
     for name in suite:
         assert np.array_equal(suite[name], again[name])
-    with pytest.raises(ValueError, match="size must be positive, got 0"):
+    with pytest.raises(ValueError, match="size must be >= 1, got 0"):
         standard_suite(0)
 
 
