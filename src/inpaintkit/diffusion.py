@@ -118,34 +118,38 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
     allocated once, the largest stack by cell count first. The stack is one gather from
     the image itself, with the ring's rows and columns clamped into it,
     so no padded copy of the image is made; ghost cells are refreshed
-    before every step. With warm_start, which diffuse passes and
-    diffuse_patches does not, as it starts from its base, each stack's
-    missing interior cells start at the mean of the known pixels, so a
-    window whose ring is all ghost, as diffuse's is, never reads a
-    placeholder; a mask with no known pixel keeps them. A window
-    steps while it has missing cells, its last step moved it by more
-    than epsilon and it is under the cap; a window without missing cells
-    takes no step and reports delta 0. A step computes the missing cells
-    only: they are held as flat stack indices in window-major order, so
-    each tap is a gather at a constant offset, their current values are
-    kept beside the stack as one vector, and the per-window deltas are
+    before every step. The missing cells have one form: a list of flat
+    stack indices in window-major order, so each tap is a gather at a
+    constant offset; the boolean stack they are listed and counted from
+    is dropped before the first step. With warm_start, which diffuse
+    passes and diffuse_patches does not, as it starts from its base, the
+    mean of the known pixels is scattered through that list, so a window
+    whose ring is all ghost, as diffuse's is, never reads a placeholder;
+    a mask with no known pixel keeps them. A window steps while it has
+    missing cells, its last step moved it by more than epsilon and it is
+    under the cap; a window without missing cells takes no step and
+    reports delta 0. A step computes the missing cells only, from the
+    cells' current values x kept beside the stack as one vector, and
+    scatters the new values into the stack; the per-window deltas are
     segment sums over each window's run of cells. A running window is
     held as its region id, so a step updates the per-region counts and
     deltas in place, and beside it only its cell count is kept: a
     per-window weight is repeated by the counts where a per-cell one is
     needed, and the segment starts are the counts' running sums,
     recomputed only when windows drop out, whose cells are then dropped
-    from the step. on_step(counts, interiors), if given, is called after
-    every step with the per-region counts and a read-only view of the
-    stack's live interiors. The output image is a copy of the image,
-    allocated at the first write-back once the per-cell state is freed,
-    with every interior written back in one assignment per stack. Each
-    stack is freed at its write-back, before the next one is gathered,
-    so only the smaller stacks step beside the output image, in any
-    region order. Returns the solve's DiffusionResult: the output image,
-    the per-region iterations and final deltas in coords order, made
-    read-only, and the epsilon they were held to, from which the result
-    derives its totals.
+    from the step. After every scatter x equals the stack at the cells
+    bit for bit, so a compaction re-reads x from the stack through the
+    shorter list instead of compacting it. on_step(counts, interiors),
+    if given, is called after every step with the per-region counts and
+    a read-only view of the stack's live interiors. The output image is
+    a copy of the image, allocated at the first write-back once the
+    per-cell state is freed, with every interior written back in one
+    assignment per stack. Each stack is freed at its write-back, before
+    the next one is gathered, so only the smaller stacks step beside the
+    output image, in any region order. Returns the solve's
+    DiffusionResult: the output image, the per-region iterations and
+    final deltas in coords order, made read-only, and the epsilon they
+    were held to, from which the result derives its totals.
     """
     mask = as_mask(mask)
     require_same_shape(image, mask, "image and mask")
@@ -168,8 +172,6 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                     np.clip(lefts[:, None] + np.arange(-1, w + 1), 0, image.shape[1] - 1)[:, None, :]]
         free = np.zeros(win.shape, dtype=bool)  # missing interior cells
         free[:, 1:-1, 1:-1] = sliding_window_view(mask, (h, w))[tops, lefts] == 0
-        if fill is not None:
-            win[free] = fill
         ghost_top, ghost_bottom, ghost_left, ghost_right = (
             np.flatnonzero(g) for g in (tops == 0, tops + h == image.shape[0], lefts == 0, lefts + w == image.shape[1])
         )
@@ -197,6 +199,8 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
         inner = win[:, 1:-1, 1:-1]
         inner.flags.writeable = False  # on_step may read the live interiors, never write them
         acc, x, tmp = np.empty((3, len(cells)))
+        if fill is not None:
+            centre[cells] = fill
         np.take(centre, cells, out=x, mode="clip")  # the cells' current values
         while len(owners):
             # ghost sides copy the interior edge; full-length copies also fill the corners
@@ -222,12 +226,12 @@ def _solve_windows(image, mask, coords, kernels, config: DiffusionConfig | None 
                 on_step(iterations, inner)
             alive = (deltas[owners] > cfg.epsilon) & (iterations[owners] < cfg.max_iters)
             if not alive.all():
-                keep = np.repeat(alive, sizes)
-                cells = cells[keep]
-                x[: len(cells)] = x[:m][keep]
+                cells = cells[np.repeat(alive, sizes)]
+                # x[:m] equals centre[cells] after every scatter, so the kept cells re-read it
+                np.take(centre, cells, out=x[: len(cells)], mode="clip")
                 owners, sizes = owners[alive], sizes[alive]
                 starts = np.cumsum(sizes) - sizes
-        cells = acc = x = tmp = term = step = keep = None  # frees the per-cell state before out is allocated
+        cells = acc = x = tmp = term = step = None  # frees the per-cell state before out is allocated
         # window (t, l) of out is the region at (t, l) itself
         out = image.copy() if out is None else out
         sliding_window_view(out, (h, w), writeable=True)[tops, lefts] = inner

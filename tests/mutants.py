@@ -79,7 +79,7 @@ MUTANTS = (
     Mutant(
         "per-cell-state-kept-at-write-back",
         DIFFUSION,
-        "cells = acc = x = tmp = term = step = keep = None",
+        "cells = acc = x = tmp = term = step = None",
         "pass",
         "the per-cell state is still live when the output image is allocated",
     ),
@@ -128,14 +128,14 @@ MUTANTS = (
     Mutant(
         "no-x-compaction",
         DIFFUSION,
-        "x[: len(cells)] = x[:m][keep]",
-        "x[: len(cells)] = x[: len(cells)]",
+        'np.take(centre, cells, out=x[: len(cells)], mode="clip")',
+        "pass",
         "after windows drop out, the kept cells' last values are misaligned",
     ),
     Mutant(
         "warm-start-fill-dropped",
         DIFFUSION,
-        "win[free] = fill",
+        "centre[cells] = fill",
         "pass",
         "a whole-image solve starts from the placeholders, not from the mean of the known pixels",
     ),
@@ -299,6 +299,13 @@ MUTANTS = (
         'size = as_int(size, "size", 1)',
         "pass",
         "a synthetic image of non-integer size, such as stripes(2.5, ...), is built as a 3x3 image without a word",
+    ),
+    Mutant(
+        "synth-period-unchecked",
+        SYNTH,
+        '"period": (lambda v: np.isfinite(v) and v >= 2, "finite and >= 2"),',
+        '"period": (lambda v: True, "finite and >= 2"),',
+        "a synthetic image of period 0 or NaN, such as stripes(8, 0.0, 0.0), fails with a bare ZeroDivisionError or is all NaN",
     ),
     Mutant(
         "patch-clamp-to-shorter-side",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,43 @@ def test_standard_suite_contents():
         assert np.array_equal(suite[name], again[name])
     with pytest.raises(ValueError, match="size must be >= 1, got 0"):
         standard_suite(0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (lambda: stripes(8, NAN, 0.0), "period", "nan"),
+        (lambda: stripes(8, np.inf, 0.0), "period", "inf"),
+        (lambda: stripes(8, 0.0, 0.0), "period", "0.0"),
+        (lambda: stripes(8, 1.5, 0.0), "period", "1.5"),
+        (lambda: stripes(8, -1e-320, 0.0), "period", "-1e-320"),
+        (lambda: rings(8, 0.0), "period", "0.0"),
+        (lambda: stripes(8, 4.0, NAN), "angle_deg", "nan"),
+        (lambda: stripes(8, 4.0, np.full((8, 8), np.inf)), "angle_deg", "64 bad entries"),
+        (lambda: stripes(8, 4.0, 0.0, 1.0), "hardness", "1.0"),
+        (lambda: stripes(8, 4.0, 0.0, 2.0), "hardness", "2.0"),
+        (lambda: stripes(8, 4.0, 0.0, -0.5), "hardness", "-0.5"),
+        (lambda: stripes(8, 4.0, 0.0, NAN), "hardness", "nan"),
+        (lambda: gradient(8, NAN), "angle_deg", "nan"),
+        (lambda: gradient(8, -np.inf), "angle_deg", "-inf"),
+        (lambda: blobs(8, [(NAN, 0.5)], 2.0), "centers", "[(nan, 0.5)]"),
+        (lambda: blobs(8, [(0.5, np.inf)], 2.0), "centers", "[(0.5, inf)]"),
+        (lambda: blobs(8, [(0.5, 0.5)], NAN), "sigma", "nan"),
+        (lambda: blobs(8, [(0.5, 0.5)], 0.0), "sigma", "0.0"),
+        (lambda: blobs(8, [(0.5, 0.5)], 1e-200), "sigma", "1e-200"),
+        (lambda: woven_stripes(8, 0.0, 0.0, 90.0), "zone", "0.0"),
+        (lambda: woven_stripes(8, NAN, 0.0, 90.0), "zone", "nan"),
+        (lambda: woven_stripes(8, 16.0, NAN, 90.0), "angle_a", "nan"),
+        (lambda: woven_stripes(8, 16.0, 0.0, np.inf), "angle_b", "inf"),
+    ],
+)
+def test_generators_refuse_a_bad_real_argument_by_name(make, name, value):
+    # tier-1 turns warnings into errors, so no RuntimeWarning may fire before the refusal
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(value)}$"):
+        make()
 
 
 # SHA-256 of each image's float64 bytes, recorded from the mgrid-based
