@@ -191,18 +191,15 @@ def _check_outputs(*paths, images: bool, snapshots=None) -> None:
 def _snapshot_writer(damaged, mask, every: int, snap_dir: Path):
     """Make snap_dir and return the solve callback that writes every K-th iterate into it as a PGM."""
     snap_dir.mkdir(parents=True, exist_ok=True)
-    # known pixels never change, so they are quantized once; a snapshot
-    # re-quantizes only the missing pixels into this frame for write_pgm.
-    # The iterate is a strided view, read by (row, col) pairs; the frame
-    # is contiguous, and flat indices write it about 3x faster than pairs.
+    # known pixels never change, so they are quantized once, into this frame;
+    # one flat index reads the missing pixels from the strided iterate through
+    # np.take and writes them into the contiguous frame
     frame = quantize(damaged)
-    frame_pixels = frame.reshape(-1)  # a view of frame
-    missing = np.nonzero(mask == 0)
-    missing_flat = np.ravel_multi_index(missing, frame.shape)
+    missing = np.flatnonzero(mask == 0)
 
     def callback(iteration, current):
         if iteration % every == 0:
-            frame_pixels[missing_flat] = quantize(current[missing])
+            frame.reshape(-1)[missing] = quantize(np.take(current, missing))
             write_pgm(frame, snap_dir / SNAPSHOT_NAME.format(iteration))
 
     return callback

@@ -22,11 +22,11 @@ def random_mask(rows: int, cols: int, missing_fraction: float, seed: int) -> np.
     """Mask with exactly round(missing_fraction * rows * cols) missing pixels.
 
     Pixel positions are drawn by a seeded shuffle, so the count is exact
-    rather than binomial and the result is reproducible. rows and cols
-    go through as_int: one that is not an integer raises TypeError, and
-    one below 1 ValueError, naming it.
+    rather than binomial and the result is reproducible. rows, cols and
+    seed go through as_int: one that is not an integer raises TypeError,
+    and rows or cols below 1 or seed below 0 ValueError, naming it.
     """
-    rows, cols = as_int(rows, "rows", 1), as_int(cols, "cols", 1)
+    rows, cols, seed = as_int(rows, "rows", 1), as_int(cols, "cols", 1), as_int(seed, "seed", 0)
     if not (0.0 <= missing_fraction <= 1.0):
         raise ValueError(f"missing_fraction must be in [0, 1], got {missing_fraction}")
     total = rows * cols

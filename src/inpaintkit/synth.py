@@ -18,11 +18,12 @@ AMPLITUDE = 0.62  # peak-to-peak height of the stripes and rings about 0.5, leav
 
 # what a real argument must be, by name: a test that holds at every entry of
 # a valid value, and its wording; an argument not named here, an angle or the
-# centers, must be finite. A period below 2 aliases
+# centers, must be finite. A period below 2 aliases. sigma's square is taken
+# in float64, where a huge sigma gives inf with its overflow warning silenced
 _RULES = {
     "period": (lambda v: np.isfinite(v) and v >= 2, "finite and >= 2"),
     "zone": (lambda v: np.isfinite(v) and v >= 1, "finite and >= 1"),
-    "sigma": (lambda v: np.isfinite(v) and 2.0 * v**2 > 0, "finite, with 2 * sigma**2 > 0"),
+    "sigma": (np.errstate(over="ignore")(lambda v: 0.0 < 2.0 * np.float64(v) ** 2 < np.inf), "such that 2 * sigma**2 is finite and > 0"),
     "hardness": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 

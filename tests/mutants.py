@@ -308,6 +308,13 @@ MUTANTS = (
         "a synthetic image of period 0 or NaN, such as stripes(8, 0.0, 0.0), fails with a bare ZeroDivisionError or is all NaN",
     ),
     Mutant(
+        "synth-sigma-overflow-unchecked",
+        SYNTH,
+        "0.0 < 2.0 * np.float64(v) ** 2 < np.inf",
+        "0.0 < 2.0 * np.float64(v) ** 2",
+        "a sigma whose 2 * sigma**2 overflows, such as blobs(8, [(0.5, 0.5)], 1e200), is accepted and gives an all-ones image",
+    ),
+    Mutant(
         "patch-clamp-to-shorter-side",
         CORE,
         "n = min(n, max(rows, cols))",
@@ -322,6 +329,13 @@ MUTANTS = (
         "a text scale past a non-square mask is clamped to its shorter side",
     ),
     Mutant(
+        "random-mask-seed-unconverted",
+        "src/inpaintkit/masks.py",
+        'as_int(seed, "seed", 0)',
+        "seed",
+        "a random mask's seed goes straight to numpy: None draws a different mask per call, and -1 or 1.5 fails without naming seed",
+    ),
+    Mutant(
         "patch-size-checked-after-estimate",
         DIRECTIONAL,
         'patch_size = as_int(patch_size, "patch_size", 2)',
@@ -331,8 +345,8 @@ MUTANTS = (
     Mutant(
         "stale-snapshot-frame",
         "src/inpaintkit/cli.py",
-        "frame_pixels[missing_flat] = quantize(current[missing])",
-        "if iteration == args.snapshot_every: frame_pixels[missing_flat] = quantize(current[missing])",
+        "frame.reshape(-1)[missing] = quantize(np.take(current, missing))",
+        "if iteration == every: frame.reshape(-1)[missing] = quantize(np.take(current, missing))",
         "the CLI's snapshot frame takes the missing pixels on the first snapshot only, so later snapshots repeat it",
     ),
     Mutant(

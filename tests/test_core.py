@@ -187,6 +187,7 @@ INTEGER_ARGUMENTS = {
     "split-n": (lambda v: split_into_patches(8, 8, v), "patch size", 2),
     "random-mask-rows": (lambda v: random_mask(v, 8, 0.5, 0), "rows", 1),
     "random-mask-cols": (lambda v: random_mask(8, v, 0.5, 0), "cols", 1),
+    "random-mask-seed": (lambda v: random_mask(8, 8, 0.5, v), "seed", 0),
     "text-mask-rows": (lambda v: text_mask(v, 8, "x"), "rows", 1),
     "text-mask-cols": (lambda v: text_mask(8, v, "x"), "cols", 1),
     "text-mask-scale": (lambda v: text_mask(8, 8, "x", v), "scale", 1),

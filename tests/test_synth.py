@@ -90,6 +90,8 @@ NAN = float("nan")
         (lambda: blobs(8, [(0.5, 0.5)], NAN), "sigma", "nan"),
         (lambda: blobs(8, [(0.5, 0.5)], 0.0), "sigma", "0.0"),
         (lambda: blobs(8, [(0.5, 0.5)], 1e-200), "sigma", "1e-200"),
+        (lambda: blobs(8, [(0.5, 0.5)], 1e154), "sigma", "1e+154"),
+        (lambda: blobs(8, [(0.5, 0.5)], 1e200), "sigma", "1e+200"),
         (lambda: woven_stripes(8, 0.0, 0.0, 90.0), "zone", "0.0"),
         (lambda: woven_stripes(8, NAN, 0.0, 90.0), "zone", "nan"),
         (lambda: woven_stripes(8, 16.0, NAN, 90.0), "angle_a", "nan"),
