@@ -8,6 +8,7 @@ arrays.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -69,6 +70,22 @@ def as_int(value, name: str, least: int) -> int:
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
+
+
+def as_real(value, name: str, ok=np.isfinite, wording: str = "finite") -> float:
+    """Return a real scalar argument as a float, refusing it by name when it is not one or breaks its rule.
+
+    This is the one conversion and the one rule check of a real scalar
+    argument: a value that is not a numbers.Real (a string, None, a
+    complex number, a sequence or any ndarray, 0-d included) raises
+    TypeError, and a value for which ok is False raises ValueError from
+    require, "<name> must be <wording>, got <value>". A numpy real
+    scalar comes back as a float.
+    """
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    require(ok(value), f"{name} must be {wording}, got {value!r}")
+    return float(value)
 
 
 def require_finite(img: np.ndarray) -> np.ndarray:

@@ -13,13 +13,12 @@ the step, so finished windows cost nothing.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_image, as_int, as_mask, group_by_shape, require_finite, require_same_shape
+from .core import as_image, as_int, as_mask, as_real, group_by_shape, require_finite, require_same_shape
 from .kernels import normalize
 
 
@@ -30,10 +29,7 @@ class DiffusionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", as_int(self.max_iters, "max_iters", 1))
-        if not isinstance(self.epsilon, numbers.Real):
-            raise TypeError(f"epsilon must be a real number, got {self.epsilon!r}")
-        if not 0.0 <= self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", as_real(self.epsilon, "epsilon", lambda e: 0.0 <= e < np.inf, "finite and >= 0"))
 
 
 @dataclass(frozen=True, eq=False)

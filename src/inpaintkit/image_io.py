@@ -89,13 +89,22 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return img, maxval
 
 
+def _require_raster(raster) -> np.ndarray:
+    """Return raster as an array; one that is not a non-empty 2-D uint8 array raises ValueError naming its dtype and shape."""
+    raster = np.asarray(raster)
+    if raster.dtype != np.uint8 or raster.ndim != 2 or raster.size == 0:
+        raise ValueError(f"expected a non-empty 2-D uint8 raster, got dtype {raster.dtype} and shape {raster.shape}")
+    return raster
+
+
 def write_pgm(raster: np.ndarray, path) -> None:
     """Write a 2-D uint8 raster as binary PGM (P5, maxval 255).
 
-    The header goes to the file first, then the raster in C order straight
+    Any other raster raises ValueError before the file is opened. The
+    header goes to the file first, then the raster in C order straight
     from the array's buffer, with no bytes copy of it.
     """
-    raster = np.ascontiguousarray(raster)  # no copy when already C-ordered
+    raster = np.ascontiguousarray(_require_raster(raster))  # no copy when already C-ordered
     with open(path, "wb") as f:
         f.write(f"P5\n{raster.shape[1]} {raster.shape[0]}\n255\n".encode("ascii"))
         f.write(raster)
@@ -127,8 +136,8 @@ def read_png(path) -> tuple[np.ndarray, int]:
 
 
 def write_png(raster: np.ndarray, path) -> None:
-    """Write a 2-D uint8 raster as 8-bit grayscale PNG."""
-    _require_pillow().fromarray(raster).save(Path(path), format="PNG")
+    """Write a 2-D uint8 raster as 8-bit grayscale PNG; any other raster raises ValueError before the file is opened."""
+    _require_pillow().fromarray(_require_raster(raster)).save(Path(path), format="PNG")
 
 
 # suffix -> (reader, writer); .pnm is read and written as PGM

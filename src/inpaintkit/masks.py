@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_image, as_int, as_mask, require_same_shape
+from .core import as_image, as_int, as_mask, as_real, require_same_shape
 from .font5x7 import GLYPH_COLS, GLYPH_INDEX, GLYPH_ROWS, GLYPHS
 
 # glyph cell advance: 1 blank column between glyphs, 5 blank rows between lines
@@ -25,10 +25,11 @@ def random_mask(rows: int, cols: int, missing_fraction: float, seed: int) -> np.
     rather than binomial and the result is reproducible. rows, cols and
     seed go through as_int: one that is not an integer raises TypeError,
     and rows or cols below 1 or seed below 0 ValueError, naming it.
+    missing_fraction goes through as_real: one that is not a real number
+    raises TypeError, and one outside [0, 1] ValueError, naming it.
     """
     rows, cols, seed = as_int(rows, "rows", 1), as_int(cols, "cols", 1), as_int(seed, "seed", 0)
-    if not (0.0 <= missing_fraction <= 1.0):
-        raise ValueError(f"missing_fraction must be in [0, 1], got {missing_fraction}")
+    missing_fraction = as_real(missing_fraction, "missing_fraction", lambda f: 0.0 <= f <= 1.0, "in [0, 1]")
     total = rows * cols
     k = int(round(missing_fraction * total))
     rng = np.random.default_rng(seed)

@@ -3,22 +3,23 @@
 Benchmark images combine oriented structure (stripes, rings, woven
 zones) with smooth shading, all closed-form, so the evaluation corpus
 needs no external files and never changes between runs. All generators
-return float64 images in [0, 1], and refuse a non-finite angle or centre,
-or a period, zone, sigma or hardness out of its range, with a ValueError
-that names it.
+return float64 images in [0, 1]. They refuse a scalar argument that is
+not a real number with a TypeError, and a non-finite angle or centre, or
+a period, zone, sigma or hardness out of its range, with a ValueError;
+each names the argument.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import as_int, require
+from .core import as_int, as_real, as_real_array, require
 
 AMPLITUDE = 0.62  # peak-to-peak height of the stripes and rings about 0.5, leaving room in [0, 1] for shading
 
-# what a real argument must be, by name: a test that holds at every entry of
-# a valid value, and its wording; an argument not named here, an angle or the
-# centers, must be finite. A period below 2 aliases. sigma's square is taken
+# what a real argument must be, by name: a test that holds for a valid
+# value, and its wording; an argument not named here, an angle, must be
+# finite. A period below 2 aliases. sigma's square is taken
 # in float64, where a huge sigma gives inf with its overflow warning silenced
 _RULES = {
     "period": (lambda v: np.isfinite(v) and v >= 2, "finite and >= 2"),
@@ -33,23 +34,20 @@ def _coords(size: int, **args):
 
     Every argument is checked before the coordinates are built. size goes through
     as_int: one that is not an integer raises TypeError, and one below 1
-    ValueError, naming it. Then each real argument in args is held to its
-    rule in _RULES: the first that breaks it raises a ValueError from
-    require that names the argument, its rule and its value, or for an
-    array value its count of bad entries.
+    ValueError, naming it. Then each real scalar argument in args goes
+    through as_real with its rule in _RULES: the first that is not a real
+    number raises TypeError, and the first that breaks its rule a
+    ValueError that names the argument, its rule and its value.
     """
     size = as_int(size, "size", 1)
     for name, value in args.items():
-        test, wording = _RULES.get(name, (np.isfinite, "finite"))
-        got = "{} bad entries" if isinstance(value, np.ndarray) and value.ndim else repr(value)
-        require(test(value), f"{name} must be {wording}, got {got}")
+        as_real(value, name, *_RULES.get(name, (np.isfinite, "finite")))
     return np.ogrid[0.0:size, 0.0:size]
 
 
-def stripes(size: int, period: float, angle_deg: float | np.ndarray, hardness: float = 0.0) -> np.ndarray:
-    """Sinusoidal stripes in 0.5 +- AMPLITUDE / 2, running along angle_deg (0 = horizontal stripes).
+def stripes(size: int, period: float, angle_deg: float, hardness: float = 0.0) -> np.ndarray:
+    """Sinusoidal stripes in 0.5 +- AMPLITUDE / 2, running along one angle, angle_deg (0 = horizontal stripes).
 
-    angle_deg is one angle, or a (size, size) array of per-pixel angles.
     hardness in [0, 1) sharpens the profile toward a square wave by
     pushing the sinusoid through a scaled tanh; 0 keeps it sinusoidal.
     """
@@ -83,8 +81,14 @@ def gradient(size: int, angle_deg: float = 30.0) -> np.ndarray:
 
 
 def blobs(size: int, centers, sigma: float) -> np.ndarray:
-    """Sum of unit-height Gaussian bumps; centers are (row, col) pairs in [0, 1] units."""
-    yy, xx = _coords(size, centers=centers, sigma=sigma)
+    """Sum of unit-height Gaussian bumps; centers are (row, col) pairs in [0, 1] units.
+
+    centers goes through as_real_array, so complex centers raise
+    ValueError, and a non-finite centre raises a ValueError naming
+    centers.
+    """
+    require(np.isfinite(as_real_array(centers, "centers")), f"centers must be finite, got {centers!r}")
+    yy, xx = _coords(size, sigma=sigma)
     out = np.zeros((size, size))
     for cy, cx in centers:
         out += np.exp(-(((yy - cy * size) ** 2 + (xx - cx * size) ** 2) / (2.0 * sigma**2)))
@@ -94,13 +98,14 @@ def blobs(size: int, centers, sigma: float) -> np.ndarray:
 def woven_stripes(size: int, zone: float, angle_a: float, angle_b: float) -> np.ndarray:
     """Checkerboard of square zones alternating between two stripe angles, period 12.
 
-    Orientation is locally clean but flips every `zone` pixels, so small
-    analysis windows see one direction while windows straddling a zone
-    boundary see a mix.
+    The image cuts two whole stripe images, one at angle_a and one at
+    angle_b, by zone. Orientation is locally clean but flips every `zone`
+    pixels, so small analysis windows see one direction while windows
+    straddling a zone boundary see a mix.
     """
     yy, xx = _coords(size, zone=zone, angle_a=angle_a, angle_b=angle_b)
     z = ((yy // zone).astype(int) + (xx // zone).astype(int)) % 2
-    return stripes(size, 12.0, np.where(z == 0, angle_a, angle_b))
+    return np.where(z == 0, stripes(size, 12.0, angle_a), stripes(size, 12.0, angle_b))
 
 
 def compose(*layers) -> np.ndarray:

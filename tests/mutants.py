@@ -8,13 +8,15 @@ Run from anywhere, with pytest installed:
 
 The runner copies src/, tests/ and pyproject.toml into a fresh temporary
 directory per run, so the checkout is never edited and no stale bytecode
-is reused. It first requires the unmutated copy to import inpaintkit from
-the copy and to pass the targeted test files (SUBSET). It then applies
-each mutant alone and runs SUBSET with -x. A mutant is killed only when
-pytest exits 1, that is when a test fails; a collection error, a crash or
-a run past the timeout is not a kill. The per-mutant timeout is five
-times the unmutated run, and at least 30 s. Prints one line per mutant
-with its outcome and seconds; exits 0 only if every mutant is killed.
+is reused. It first requires the unmutated copy, run alone, to import
+inpaintkit from the copy and to pass the targeted test files (SUBSET).
+It then applies each mutant alone, in its own copy and pytest process,
+and runs SUBSET with -x; the mutants run concurrently, one per CPU this
+process may use. A mutant is killed only when pytest exits 1, that is
+when a test fails; a collection error, a crash or a run past the timeout
+is not a kill. The per-mutant timeout is five times the unmutated run,
+and at least 30 s. Prints one line per mutant, in MUTANTS order, with its
+outcome and seconds; exits 0 only if every mutant is killed.
 
 tests/test_mutants.py checks in tier-1 that every old text still occurs
 exactly once, so a refactor that moves the code has to re-home its
@@ -23,6 +25,7 @@ mutants.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import shutil
 import signal
@@ -294,6 +297,48 @@ MUTANTS = (
         "an integer argument equal to its lower bound, such as patch size 2 or max_iters 1, is refused",
     ),
     Mutant(
+        "as-real-type-unchecked",
+        CORE,
+        "if not isinstance(value, numbers.Real):",
+        "if False:",
+        "a string, None, complex or array argument reaches its rule unchecked, to fail with numpy's unnamed error or pass as a real number",
+    ),
+    Mutant(
+        "as-real-rule-ignored",
+        CORE,
+        "require(ok(value),",
+        "require(True,",
+        "a real argument that breaks its rule, such as epsilon inf or missing_fraction 1.5, is accepted",
+    ),
+    Mutant(
+        "as-real-returns-its-input",
+        CORE,
+        "return float(value)",
+        "return value",
+        "a real argument comes back as given, so a config holds a numpy scalar or an int instead of a float",
+    ),
+    Mutant(
+        "epsilon-rule-lets-inf-through",
+        DIFFUSION,
+        "lambda e: 0.0 <= e < np.inf",
+        "lambda e: 0.0 <= e",
+        "an infinite epsilon is accepted and stops every solve after one step",
+    ),
+    Mutant(
+        "missing-fraction-unchecked",
+        "src/inpaintkit/masks.py",
+        "lambda f: 0.0 <= f <= 1.0",
+        "lambda f: True",
+        "a missing fraction past 1, such as 1.5, gives an all-missing mask without an error",
+    ),
+    Mutant(
+        "woven-zones-swapped",
+        SYNTH,
+        "stripes(size, 12.0, angle_a), stripes(size, 12.0, angle_b)",
+        "stripes(size, 12.0, angle_b), stripes(size, 12.0, angle_a)",
+        "woven stripes put angle_b in the zone at the origin, and angle_a in the others",
+    ),
+    Mutant(
         "synth-size-unconverted",
         SYNTH,
         'size = as_int(size, "size", 1)',
@@ -376,6 +421,20 @@ MUTANTS = (
         'img = as_real_array(img, "image")',
         "img = np.asarray(img, dtype=np.float64)",
         "quantize writes the real part of a complex image with only a warning",
+    ),
+    Mutant(
+        "raster-check-dropped",
+        IMAGE_IO,
+        "if raster.dtype != np.uint8 or raster.ndim != 2 or raster.size == 0:",
+        "if False:",
+        "a float or int64 raster is written as its raw bytes under an 8-bit header, and a 1-D one leaves an empty file",
+    ),
+    Mutant(
+        "write-pgm-unchecked",
+        IMAGE_IO,
+        "np.ascontiguousarray(_require_raster(raster))",
+        "np.ascontiguousarray(raster)",
+        "write_pgm writes any raster it is given, so a float64 one reads back as zeros",
     ),
     Mutant(
         "read-divides-by-255",
@@ -557,10 +616,12 @@ def main() -> int:
         return 1
     timeout = max(30.0, 5 * seconds)
     survivors = 0
-    for mutant in MUTANTS:
-        outcome, seconds = _run_subset(mutant, timeout)
-        survivors += outcome != "killed"
-        print(f"{mutant.name:<34} {outcome:<10} {seconds:6.1f} s  {mutant.bug}", flush=True)
+    # each worker thread only waits on its mutant's pytest process
+    with concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        runs = pool.map(lambda mutant: _run_subset(mutant, timeout), MUTANTS)
+        for mutant, (outcome, seconds) in zip(MUTANTS, runs):
+            survivors += outcome != "killed"
+            print(f"{mutant.name:<34} {outcome:<10} {seconds:6.1f} s  {mutant.bug}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 

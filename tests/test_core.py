@@ -10,6 +10,7 @@ import pytest
 from inpaintkit.core import (
     as_image,
     as_mask,
+    as_real,
     as_real_array,
     mse,
     group_by_shape,
@@ -210,6 +211,19 @@ def test_every_integer_argument_is_converted_and_bounded_by_name(call, name, lea
         call(least - 1)
     call(least)
     call(np.int64(least))
+
+
+def test_as_real_returns_a_float_and_holds_a_value_to_its_rule_by_name():
+    for value in (np.float32(0.5), np.float64(0.5), 0.5):
+        x = as_real(value, "x")
+        assert type(x) is float and x == 0.5
+    assert type(as_real(2, "x")) is float
+    assert type(DiffusionConfig(epsilon=np.float32(0.5)).epsilon) is float
+    with pytest.raises(ValueError, match=r"^x must be finite, got inf$"):
+        as_real(float("inf"), "x")
+    with pytest.raises(ValueError, match=r"^x must be below 1, got 1.0$"):
+        as_real(1.0, "x", lambda v: v < 1.0, "below 1")
+    assert as_real(0.5, "x", lambda v: v < 1.0, "below 1") == 0.5
 
 
 def test_group_by_shape_partitions_the_indices_by_shape():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from inpaintkit.image_io import (
+    CODECS,
     ImageFormatError,
     quantize,
     read_image,
@@ -53,6 +55,29 @@ def test_write_pgm_writes_rows_in_c_order_from_any_layout(tmp_path):
     for name, view in (("f.pgm", np.asfortranarray(img)), ("t.pgm", img.T.copy().T), ("s.pgm", np.repeat(img, 2, axis=1)[:, ::2])):
         write_image(view, tmp_path / name)
         assert (tmp_path / name).read_bytes() == (tmp_path / "c.pgm").read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "raster, dtype, shape",
+    [
+        (np.full((2, 2), 0.5), "float64", "(2, 2)"),
+        (np.zeros((2, 2), np.int64), "int64", "(2, 2)"),
+        (np.zeros(4, np.uint8), "uint8", "(4,)"),
+        (np.zeros((2, 2, 1), np.uint8), "uint8", "(2, 2, 1)"),
+        (np.zeros((0, 3), np.uint8), "uint8", "(0, 3)"),
+    ],
+    ids=["float64", "int64", "1-d", "3-d", "empty"],
+)
+@pytest.mark.parametrize("suffix", [".pgm", ".png"])
+def test_writers_refuse_a_raster_that_is_not_2d_uint8_before_opening_the_file(tmp_path, suffix, raster, dtype, shape):
+    # the png case runs only where Pillow is installed
+    if suffix == ".png":
+        pytest.importorskip("PIL")
+    path = tmp_path / f"x{suffix}"
+    message = f"expected a non-empty 2-D uint8 raster, got dtype {dtype} and shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CODECS[suffix][1](raster, path)
+    assert not path.exists()
 
 
 def test_pgm_roundtrip_is_byte_identical(tmp_path):
